@@ -26,7 +26,7 @@ import (
 // Kernel construction: functional options.
 //
 // New is the front door. Options translate into kernel.Config fields, so
-// the zero-option call is equivalent to NewKernel(Config{}):
+// the zero-option call is equivalent to kernel.New(Config{}):
 //
 //	k := vino.New(
 //		vino.WithTrace(4096),
@@ -135,17 +135,6 @@ func WithCheckpointRing(n int) Option {
 	return func(c *Config) { c.CheckpointRing = n }
 }
 
-// WithFullCopyCheckpoints disables incremental (copy-on-write delta)
-// capture and deep-copies the whole kernel state at every checkpoint,
-// the pre-delta behaviour. Capture cost becomes O(kernel state) rather
-// than O(state dirtied since the last checkpoint); traces and recovery
-// results are byte-identical between the two modes. Useful as an A/B
-// baseline for the checkpoint-cost sweep and for distrusting the dirty
-// tracking.
-func WithFullCopyCheckpoints() Option {
-	return func(c *Config) { c.CheckpointFullCopy = true }
-}
-
 // Recovery scopes for WithRecoverScope.
 const (
 	RecoverScopeKernel = kernel.RecoverScopeKernel
@@ -173,17 +162,6 @@ func WithRecoverScope(scope string) Option {
 // rebuild the durable state with Kernel.RestoreFromDisk.
 func WithCheckpointDir(dir string) Option {
 	return func(c *Config) { c.CheckpointDir = dir }
-}
-
-// WithoutTranslation forces every graft onto the interpreting VM
-// engine. By default the loader compiles verified images to native Go
-// closures at install time (the sandbox checks are inlined into the
-// closure bodies and still trap identically); the interpreter remains
-// the deterministic oracle, and this option selects it outright —
-// useful for differential debugging and oracle-vs-translated A/B runs.
-// Same seeds produce byte-identical traces either way.
-func WithoutTranslation() Option {
-	return func(c *Config) { c.NoTranslate = true }
 }
 
 // -----------------------------------------------------------------------------
@@ -575,7 +553,7 @@ func NewFaultPlan(seed int64, classes []FaultClass, rulesPerClass int) *FaultPla
 }
 
 // DecodeFaultPlan parses the textual plan form produced by
-// FaultPlan.Encode — the interchange format behind `vinosim -faultfile`,
+// FaultPlan.Encode — the interchange format behind `vinosim chaos -faultfile`,
 // letting a reproducer be saved, hand-edited (e.g. minimised) and
 // replayed.
 func DecodeFaultPlan(s string) (*FaultPlan, error) { return fault.Decode(s) }
@@ -648,11 +626,6 @@ func ChaosFailureSignature(r *ChaosReport) string { return harness.Signature(r) 
 // never empty: surviving runs with different containment footprints
 // fingerprint differently, which is what campaign coverage counts.
 func ChaosRunSignature(r *ChaosReport) string { return harness.NormalizedSignature(r) }
-
-// ChaosSignature is the old name for ChaosFailureSignature.
-//
-// Deprecated: use ChaosFailureSignature.
-func ChaosSignature(r *ChaosReport) string { return ChaosFailureSignature(r) }
 
 // MinimizeResult is the outcome of MinimizeChaos: the minimal plan,
 // the preserved signature, and the replay counts.

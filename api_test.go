@@ -129,36 +129,6 @@ func TestToolchainBuild(t *testing.T) {
 	}
 }
 
-// TestDeprecatedWrappersStillWork keeps the pre-redesign names alive.
-func TestDeprecatedWrappersStillWork(t *testing.T) {
-	k := vino.NewKernel(vino.Config{TraceDepth: 32})
-	img, err := vino.BuildSafeGraft(retSeven, k.Signer)
-	if err != nil {
-		t.Fatalf("BuildSafeGraft: %v", err)
-	}
-	opt, err := vino.BuildOptimizedGraft(retSeven, k.Signer)
-	if err != nil {
-		t.Fatalf("BuildOptimizedGraft: %v", err)
-	}
-	pt := echoPoint(k, "obj.fn")
-	k.SpawnProcess("app", 100, func(p *vino.Process) {
-		for _, im := range []*vino.Image{img, opt} {
-			g, err := p.Install("obj.fn", im, vino.InstallOptions{})
-			if err != nil {
-				t.Errorf("install: %v", err)
-				return
-			}
-			if res, err := pt.Invoke(p.Thread); err != nil || res != 7 {
-				t.Errorf("invoke = (%d, %v), want (7, nil)", res, err)
-			}
-			k.Grafts.Remove(g)
-		}
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestFaultSurfaceRoundTrip exercises the fault-plan surface end to
 // end: parse classes, derive a plan, inspect it, run chaos, compare
 // determinism artifacts — all through the public API.
@@ -289,9 +259,7 @@ func TestGuardSurface(t *testing.T) {
 }
 
 // TestChaosCampaignSurface exercises the regrouped chaos family —
-// run, fingerprint, minimize, campaign — through the public API, and
-// keeps the deprecated ChaosSignature wrapper agreeing with its
-// canonical name.
+// run, fingerprint, minimize, campaign — through the public API.
 func TestChaosCampaignSurface(t *testing.T) {
 	cfg := vino.ChaosConfig{Seed: 7, Iterations: 16, Extended: true, Crash: true}
 	rep, err := vino.RunChaos(cfg)
@@ -303,9 +271,6 @@ func TestChaosCampaignSurface(t *testing.T) {
 	}
 	if got := vino.ChaosFailureSignature(rep); got != "" {
 		t.Errorf("surviving run has failure signature %q", got)
-	}
-	if vino.ChaosSignature(rep) != vino.ChaosFailureSignature(rep) {
-		t.Error("deprecated ChaosSignature disagrees with ChaosFailureSignature")
 	}
 	runSig := vino.ChaosRunSignature(rep)
 	if runSig == "" || !strings.HasPrefix(runSig, "ok ") {

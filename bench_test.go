@@ -625,7 +625,7 @@ func BenchmarkCheckpoint(b *testing.B) {
 
 // TestPublicFacade smoke-tests the root package aliases.
 func TestPublicFacade(t *testing.T) {
-	k := vino.NewKernel(vino.Config{ZeroTxnCosts: true})
+	k := kernel.New(kernel.Config{ZeroTxnCosts: true})
 	fsys := vino.NewFS(k, vino.NewDisk(vino.FujitsuDisk()), 64)
 	fsys.Create("f", vino.BlockSize, 100, true)
 	ran := false

@@ -4,8 +4,6 @@ package main
 // flag set and one config builder: `crash` is `chaos` with the crash
 // phase armed (and its checkpoint knobs exposed), `minimize` is a
 // failing crash config fed to the delta-debugger instead of printed.
-// The deprecated flat-flag form (vinosim -chaos ...) maps onto the
-// same builder; see legacy.go.
 
 import (
 	"errors"
@@ -16,33 +14,6 @@ import (
 
 	vino "vino"
 )
-
-// onOffFlag is a boolean flag that reads as on/off and also accepts
-// the usual bool spellings, so both `-translate` and `-translate=off`
-// parse. The default is whatever the flag is initialised to.
-type onOffFlag bool
-
-func (f *onOffFlag) Set(s string) error {
-	switch s {
-	case "", "on", "true", "1":
-		*f = true
-	case "off", "false", "0":
-		*f = false
-	default:
-		return fmt.Errorf("want on or off, got %q", s)
-	}
-	return nil
-}
-
-func (f *onOffFlag) String() string {
-	if f != nil && *f {
-		return "on"
-	}
-	return "off"
-}
-
-// IsBoolFlag lets `-translate` (no value) mean on.
-func (f *onOffFlag) IsBoolFlag() bool { return true }
 
 // chaosFlags collects every chaos-family flag; register installs the
 // base set, registerCrash the crash-phase set.
@@ -61,12 +32,10 @@ type chaosFlags struct {
 	guardProbation int
 	varyInstalls   bool
 	redteam        bool
-	translate      onOffFlag
 
 	crash          bool
 	checkpoint     time.Duration
 	checkpointRing int
-	checkpointFull bool
 	checkpointDir  string
 	recoverScope   string
 	norecover      bool
@@ -87,22 +56,19 @@ func (c *chaosFlags) register(fs *flag.FlagSet) {
 	fs.IntVar(&c.guardProbation, "guard-probation", 0, "clean commits required to clear probation (0 = policy default)")
 	fs.BoolVar(&c.varyInstalls, "varyinstalls", false, "randomize graft install options (watchdogs, transfers, handler order) from the seed")
 	fs.BoolVar(&c.redteam, "redteam", false, "arm the red-team phase (SFI escape corpus + in-kernel compartment-violation probe)")
-	c.translate = true
-	fs.Var(&c.translate, "translate", "run verified grafts on the translated closure engine (off = interpret; reports are byte-identical either way)")
 	fs.BoolVar(&showTrace, "trace", false, "dump the kernel flight recorder after the run")
 }
 
 func (c *chaosFlags) registerCrash(fs *flag.FlagSet) {
 	fs.DurationVar(&c.checkpoint, "checkpoint", 20*time.Millisecond, "checkpoint cadence in virtual time")
 	fs.IntVar(&c.checkpointRing, "checkpoint-ring", 0, "keep a ring of the N newest checkpoints (0 = latest only); recovery picks the newest checkpoint predating the panic's taint")
-	fs.BoolVar(&c.checkpointFull, "checkpoint-full", false, "full-copy checkpoints instead of incremental deltas (A/B baseline; identical traces, O(state) capture cost)")
 	fs.BoolVar(&c.norecover, "norecover", false, "disable recovery: the first injected panic is fatal and reported (reproducer mode)")
 	fs.StringVar(&c.recoverScope, "recover-scope", "kernel", "recovery scope: kernel (whole-image restore) or graft (roll back only the offender's domain, widening on cross-domain entanglement)")
 	fs.StringVar(&c.checkpointDir, "checkpoint-dir", "", "persist the checkpoint ring to this directory (gob manifests, exponential-age compaction)")
 }
 
 // build is the shared config builder every chaos-family subcommand
-// (and the legacy shim) funnels through.
+// funnels through.
 func (c *chaosFlags) build() (vino.ChaosConfig, error) {
 	classes, err := vino.ParseFaultClasses(c.faults)
 	if err != nil {
@@ -113,19 +79,17 @@ func (c *chaosFlags) build() (vino.ChaosConfig, error) {
 		classes = nil
 	}
 	cfg := vino.ChaosConfig{
-		Seed:               c.seed,
-		Classes:            classes,
-		NCPU:               c.ncpu,
-		Extended:           c.extended,
-		VaryInstalls:       c.varyInstalls,
-		Crash:              c.crash || c.norecover,
-		CheckpointEvery:    c.checkpoint,
-		CheckpointRing:     c.checkpointRing,
-		CheckpointFullCopy: c.checkpointFull,
-		CheckpointDir:      c.checkpointDir,
-		NoRecover:          c.norecover,
-		RedTeam:            c.redteam,
-		NoTranslate:        !bool(c.translate),
+		Seed:            c.seed,
+		Classes:         classes,
+		NCPU:            c.ncpu,
+		Extended:        c.extended,
+		VaryInstalls:    c.varyInstalls,
+		Crash:           c.crash || c.norecover,
+		CheckpointEvery: c.checkpoint,
+		CheckpointRing:  c.checkpointRing,
+		CheckpointDir:   c.checkpointDir,
+		NoRecover:       c.norecover,
+		RedTeam:         c.redteam,
 	}
 	switch c.recoverScope {
 	case "", vino.RecoverScopeKernel:

@@ -9,7 +9,7 @@
 //	vinosim chaos -faultfile=p.txt     # replay a saved/edited plan
 //	vinosim crash -seed=7              # chaos with the crash phase armed:
 //	                                   # injected kernel panics contained & recovered
-//	vinosim crash -seed=7 -checkpoint-ring=3 -checkpoint-full
+//	vinosim crash -seed=7 -checkpoint-ring=3 -recover-scope=graft
 //	vinosim crash -seed=7 -norecover   # first panic is fatal (reproducer mode)
 //	vinosim minimize -seed=7 -out=min.faultplan
 //	                                   # delta-debug a failing plan to a minimal reproducer
@@ -18,16 +18,18 @@
 //	vinosim fleet -seed=7 -instances=2 # multi-tenant fleet: traffic, crash
 //	                                   # faults, instance replacement, tenant
 //	                                   # escalation, fleet-level audit
+//	vinosim redteam -seed=7            # adversarial SFI escape corpus
 //
-// The pre-subcommand flat-flag form (vinosim -chaos -seed=7 ...) still
-// works but is deprecated: it maps onto the subcommands above and
-// prints a migration hint on stderr.
+// Bare `vinosim` runs every scenario, like `vinosim run`. Verified
+// grafts always run on the translated engine and checkpoints are
+// always incremental; the interpreter and full-copy checkpoints are
+// reached through kernel.Config and ChaosConfig, where the Go tests
+// compare them against the defaults.
 package main
 
 import (
 	"fmt"
 	"os"
-	"strings"
 )
 
 func main() {
@@ -54,9 +56,6 @@ func main() {
 	case "help", "-h", "--help", "-help":
 		usage(os.Stdout)
 		return
-	}
-	if strings.HasPrefix(args[0], "-") {
-		os.Exit(cmdLegacy(args))
 	}
 	fmt.Fprintf(os.Stderr, "vinosim: unknown command %q\n\n", args[0])
 	usage(os.Stderr)

@@ -21,11 +21,9 @@ func cmdRedTeam(args []string) int {
 	seed := fs.Int64("seed", 7, "sentinel-pattern seed (the case set is seed-independent)")
 	workers := fs.Int("workers", 1, "worker-pool size (wall-clock only; the report is identical at any value)")
 	report := fs.String("report", "", "also write the summary to this file (for CI determinism cmp)")
-	translate := onOffFlag(true)
-	fs.Var(&translate, "translate", "run contained cases on the translated closure engine (off = interpret; the report is byte-identical either way)")
 	fs.Parse(args)
 
-	res := vino.RunRedTeam(vino.RedTeamConfig{Seed: *seed, Workers: *workers, Translate: bool(translate)})
+	res := vino.RunRedTeam(vino.RedTeamConfig{Seed: *seed, Workers: *workers, Translate: true})
 	sum := res.Summary()
 	fmt.Print(sum)
 	if *report != "" {

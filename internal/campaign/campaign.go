@@ -30,9 +30,9 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
+	"vino/internal/detpool"
 	"vino/internal/fault"
 	"vino/internal/harness"
 )
@@ -158,7 +158,6 @@ type Report struct {
 type outcome struct {
 	sig      string
 	survived bool
-	err      string
 }
 
 // Run executes the campaign.
@@ -168,9 +167,9 @@ func Run(cfg Config) (*Report, error) {
 	rep := &Report{Config: cfg, Coverage: make(map[string]*SigStat)}
 
 	shards := cfg.Shards
-	prev := make([]*fault.Plan, shards)   // previous generation, by shard
+	prev := make([]*fault.Plan, shards)    // previous generation, by shard
 	lineage := make([]*fault.Plan, shards) // current generation's parents (nil = fresh)
-	var parents []*fault.Plan             // plans credited with novel signatures
+	var parents []*fault.Plan              // plans credited with novel signatures
 	novelPlan := make(map[string]*fault.Plan)
 	dirtySeen := make(map[string]bool)
 
@@ -203,15 +202,11 @@ func Run(cfg Config) (*Report, error) {
 				}
 			}
 			st.Count++
-			if o.err != "" || !o.survived {
+			if !o.survived {
 				rep.DirtyRuns++
 				if !dirtySeen[o.sig] {
 					dirtySeen[o.sig] = true
-					line := o.sig
-					if o.err != "" {
-						line = "harness error: " + o.err
-					}
-					rep.Dirty = append(rep.Dirty, fmt.Sprintf("g%d/s%d %s", gen, s, line))
+					rep.Dirty = append(rep.Dirty, fmt.Sprintf("g%d/s%d %s", gen, s, o.sig))
 				}
 			}
 		}
@@ -276,24 +271,9 @@ func freshPlan(cfg Config, seed int64) *fault.Plan {
 // pool. Results land in a slice indexed by shard; nothing here mutates
 // campaign state.
 func runGeneration(cfg Config, plans []*fault.Plan) []outcome {
-	outs := make([]outcome, len(plans))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				outs[i] = runOne(cfg, plans[i])
-			}
-		}()
-	}
-	for i := range plans {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	return outs
+	return detpool.Map(len(plans), cfg.Workers, func(i int) outcome {
+		return runOne(cfg, plans[i])
+	})
 }
 
 // runOne executes a single isolated kernel instance under plan.
@@ -323,42 +303,27 @@ func chaosConfig(cfg Config, plan *fault.Plan) harness.ChaosConfig {
 // deterministic, so the corpus is part of the determinism artifact;
 // minimizations of different signatures run concurrently.
 func distillCorpus(cfg Config, novel []string, novelPlan map[string]*fault.Plan) ([]*Entry, int) {
-	n := len(novel)
-	if n > cfg.MaxCorpus {
-		n = cfg.MaxCorpus
+	n := min(len(novel), cfg.MaxCorpus)
+	type distilled struct {
+		entry *Entry
+		runs  int
 	}
+	out := detpool.Map(n, cfg.Workers, func(i int) distilled {
+		sig := novel[i]
+		plan := novelPlan[sig]
+		res, err := harness.MinimizeTo(chaosConfig(cfg, plan), harness.NormalizedSignature)
+		if err != nil {
+			// The baseline errored (a harness-error signature):
+			// keep the un-shrunk plan as the reproducer.
+			return distilled{entry: newEntry(cfg, sig, plan, 0)}
+		}
+		return distilled{entry: newEntry(cfg, sig, res.Plan, res.Removed), runs: res.Runs}
+	})
 	entries := make([]*Entry, n)
-	runs := make([]int, n)
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				sig := novel[i]
-				plan := novelPlan[sig]
-				ccfg := chaosConfig(cfg, plan)
-				res, err := harness.MinimizeTo(ccfg, harness.NormalizedSignature)
-				if err != nil {
-					// The baseline errored (a harness-error signature):
-					// keep the un-shrunk plan as the reproducer.
-					entries[i] = newEntry(cfg, sig, plan, 0)
-					continue
-				}
-				runs[i] = res.Runs
-				entries[i] = newEntry(cfg, sig, res.Plan, res.Removed)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
 	total := 0
-	for _, r := range runs {
-		total += r
+	for i, d := range out {
+		entries[i] = d.entry
+		total += d.runs
 	}
 	return entries, total
 }
@@ -407,6 +372,8 @@ func (r *Report) Summary() string {
 }
 
 // mix hashes two seeds into one rng stream id (splitmix64 finalizer).
+// It seeds the generation rng, not a job, so it is not
+// detpool.SubSeed; testdata/coverage.txt pins it.
 func mix(a, b int64) int64 {
 	z := uint64(a)*0x9E3779B97F4A7C15 + uint64(b)*0xBF58476D1CE4E5B9 + 0xD1B54A32D192ED03
 	z ^= z >> 30

@@ -16,7 +16,7 @@ const planMagic = "vino-fault-plan v1"
 // Encode renders the plan in a stable, line-oriented text form that
 // Decode reads back verbatim: a failing chaos seed can be captured to a
 // file, minimized by deleting rule lines, and replayed as a standalone
-// reproducer (vinosim -faultfile). Encode(Decode(s)) is the identity on
+// reproducer (vinosim chaos -faultfile). Encode(Decode(s)) is the identity on
 // well-formed input modulo comments and blank lines.
 //
 //	vino-fault-plan v1

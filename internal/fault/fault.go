@@ -331,7 +331,7 @@ func (p *Plan) Classes() []Class {
 	return out
 }
 
-// String renders the plan for inspection (`vinosim -chaos` prints it).
+// String renders the plan for inspection (`vinosim chaos` prints it).
 func (p *Plan) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "fault plan (seed %d, %d rules)\n", p.Seed, len(p.Rules))

@@ -22,9 +22,9 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"time"
 
+	"vino/internal/detpool"
 	"vino/internal/fault"
 	"vino/internal/guard"
 	"vino/internal/kernel"
@@ -195,23 +195,9 @@ func Run(cfg Config) (*Result, error) {
 		dir = tmp
 	}
 
-	results := make([]*InstanceResult, cfg.Instances)
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for id := range jobs {
-				results[id] = runInstance(cfg, id, filepath.Join(dir, fmt.Sprintf("inst-%d", id)))
-			}
-		}()
-	}
-	for id := 0; id < cfg.Instances; id++ {
-		jobs <- id
-	}
-	close(jobs)
-	wg.Wait()
+	results := detpool.Map(cfg.Instances, cfg.Workers, func(id int) *InstanceResult {
+		return runInstance(cfg, id, filepath.Join(dir, fmt.Sprintf("inst-%d", id)))
+	})
 
 	res := &Result{Cfg: cfg}
 	perTenant := int64(cfg.Arrivals * cfg.Rounds)
@@ -233,15 +219,6 @@ func Run(cfg Config) (*Result, error) {
 			fmt.Sprintf("fleet: %d arrivals generated but %d accounted", res.Arrivals, got))
 	}
 	return res, nil
-}
-
-// mix is the splitmix64 finalizer over two seeds — the campaign's
-// sub-seed derivation, reused so instance streams are independent.
-func mix(a, b int64) int64 {
-	z := uint64(a)*0x9E3779B97F4A7C15 + uint64(b)
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return int64(z ^ (z >> 31))
 }
 
 // tenantName returns tenant i's name; the abusive tenant is last.
@@ -336,7 +313,7 @@ func (in *instance) kernelConfig() kernel.Config {
 	}
 	kcfg := kernel.Config{
 		ZeroTxnCosts:    true,
-		Seed:            mix(in.cfg.Seed, int64(in.id)),
+		Seed:            detpool.SubSeed(in.cfg.Seed, in.id),
 		GuardPolicy:     &gp,
 		CheckpointEvery: time.Hour, // explicit round-end checkpoints only
 		CheckpointRing:  4,
@@ -394,7 +371,7 @@ func runInstance(cfg Config, id int, dir string) *InstanceResult {
 		cfg: cfg,
 		id:  id,
 		dir: dir,
-		rng: rand.New(rand.NewSource(mix(cfg.Seed, int64(id)))),
+		rng: rand.New(rand.NewSource(detpool.SubSeed(cfg.Seed, id))),
 		res: &InstanceResult{ID: id},
 	}
 	in.treg = tenant.New(nil, nil, cfg.TenantPolicy)

@@ -1,6 +1,8 @@
 package fleet
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -64,11 +66,21 @@ func TestFleetSurvival(t *testing.T) {
 	}
 }
 
-// TestFleetDeterminism pins the worker-pool contract: the same (seed,
-// instances, tenants) tuple renders a byte-identical report whether the
-// instances run one at a time or all at once.
+// TestFleetDeterminism pins the worker-pool contract and the
+// per-instance sub-seed streams: the same (seed, instances, tenants)
+// tuple renders the golden report byte for byte whether the instances
+// run one at a time or all at once. The golden is what
+//
+//	vinosim fleet -seed=7 -instances=3 -rounds=5 -arrivals=3 -report=internal/fleet/testdata/fleet-seed7.report
+//
+// writes; regenerate it that way only when changing fleet behaviour on
+// purpose.
 func TestFleetDeterminism(t *testing.T) {
-	run := func(workers int) string {
+	want, err := os.ReadFile(filepath.Join("testdata", "fleet-seed7.report"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 4} {
 		res, err := Run(Config{
 			Seed:        7,
 			Instances:   3,
@@ -83,14 +95,12 @@ func TestFleetDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.Summary()
+		if got := res.Summary(); got != string(want) {
+			t.Fatalf("workers=%d: summary differs from the golden:\n--- got\n%s\n--- want\n%s", workers, got, want)
+		}
 	}
-	a, b := run(1), run(4)
-	if a != b {
-		t.Fatalf("summary differs between workers=1 and workers=4:\n--- workers=1\n%s\n--- workers=4\n%s", a, b)
-	}
-	if !strings.Contains(a, "audit: clean") {
-		t.Fatalf("audit not clean:\n%s", a)
+	if !strings.Contains(string(want), "audit: clean") {
+		t.Fatalf("golden audit not clean:\n%s", want)
 	}
 }
 

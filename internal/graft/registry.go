@@ -373,7 +373,7 @@ func (r *Registry) link(g *Installed) error {
 	}
 	// Install-time translation: verified images are compiled to native
 	// Go closures once per distinct image and shared across installs.
-	// The interpreter remains the oracle (-translate=off / NoTranslate).
+	// The interpreter remains the oracle (NoTranslate).
 	var prog *sfi.Program
 	if img.Safe && !r.NoTranslate {
 		key := sfi.TranslationKey(img)

@@ -118,9 +118,9 @@ type ChaosConfig struct {
 	RedTeam bool
 	// NoTranslate runs every graft on the interpreting VM engine
 	// instead of the install-time native-Go translation. Reports and
-	// trace dumps are byte-identical either way — that equivalence is a
-	// CI invariant — so the switch exists for oracle A/B runs and
-	// wall-clock comparisons.
+	// trace dumps are byte-identical either way — TestGoldenCrashDump
+	// checks that equivalence — so the switch exists for oracle A/B runs
+	// and wall-clock comparisons.
 	NoTranslate bool
 }
 

@@ -84,35 +84,46 @@ func TestGoldenChaosDump(t *testing.T) {
 }
 
 // TestGoldenCrashDump pins the crash phase's determinism artifact and
-// proves the incremental-checkpoint engine is invisible in it: a run
-// with full-copy captures (the pre-delta behaviour) must reproduce the
-// incremental golden byte for byte — only capture cost may differ
-// between the modes, never a trace or a summary.
+// proves two engine choices are invisible in it: a run with full-copy
+// captures (the pre-delta behaviour) and a run on the interpreting VM
+// (NoTranslate, the semantic oracle) must each reproduce the default
+// run byte for byte — only host cost may differ, never a plan, a
+// summary, a counter or a trace. These are everything `vinosim crash
+// -trace` prints.
 func TestGoldenCrashDump(t *testing.T) {
 	cfg := ChaosConfig{Seed: 7, Extended: true, Crash: true}
-	incr, err := RunChaos(cfg)
+	base, err := RunChaos(cfg)
 	if err != nil {
 		t.Fatalf("RunChaos: %v", err)
 	}
-	if !incr.Survived() {
-		t.Fatalf("crash run did not survive:\n%s", incr.Summary())
+	if !base.Survived() {
+		t.Fatalf("crash run did not survive:\n%s", base.Summary())
 	}
-	goldenCompare(t, "crash-seed7.summary", incr.Summary())
-	goldenCompare(t, "crash-seed7.dump", incr.TraceDump)
+	goldenCompare(t, "crash-seed7.summary", base.Summary())
+	goldenCompare(t, "crash-seed7.dump", base.TraceDump)
 
-	fcfg := cfg
-	fcfg.CheckpointFullCopy = true
-	full, err := RunChaos(fcfg)
-	if err != nil {
-		t.Fatalf("RunChaos (full copy): %v", err)
-	}
-	if full.TraceDump != incr.TraceDump {
-		t.Error("full-copy trace dump diverged from incremental")
-		reportFirstDiff(t, full.TraceDump, incr.TraceDump)
-	}
-	if full.Summary() != incr.Summary() {
-		t.Errorf("full-copy summary diverged from incremental:\n%s\n---\n%s",
-			full.Summary(), incr.Summary())
+	full, interp := cfg, cfg
+	full.CheckpointFullCopy = true
+	interp.NoTranslate = true
+	for _, v := range []struct {
+		name string
+		cfg  ChaosConfig
+	}{{"full-copy", full}, {"interpreted", interp}} {
+		rep, err := RunChaos(v.cfg)
+		if err != nil {
+			t.Fatalf("RunChaos (%s): %v", v.name, err)
+		}
+		for _, a := range []struct{ what, got, want string }{
+			{"plan", rep.Plan.String(), base.Plan.String()},
+			{"summary", rep.Summary(), base.Summary()},
+			{"counters", rep.CounterSummary(), base.CounterSummary()},
+			{"trace dump", rep.TraceDump, base.TraceDump},
+		} {
+			if a.got != a.want {
+				t.Errorf("%s %s diverged from the default run", v.name, a.what)
+				reportFirstDiff(t, a.got, a.want)
+			}
+		}
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 // failing seed's plan often carries dozens of rules of which only a few
 // matter; Minimize replays the run with rules deleted one at a time and
 // keeps every deletion that preserves the failure signature, producing
-// a minimal standalone reproducer for vinosim -faultfile.
+// a minimal standalone reproducer for vinosim chaos -faultfile.
 
 // MinimizeResult is the outcome of a minimization.
 type MinimizeResult struct {

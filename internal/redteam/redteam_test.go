@@ -66,23 +66,26 @@ func TestCorpusCleanTranslated(t *testing.T) {
 
 // TestReportIdenticalAcrossEngines: the report is byte-identical whether
 // the corpus runs interpreted or translated — every trap fires at the
-// same layer with the same detail. This is the CI cross-engine cmp in
-// library form.
+// same layer with the same detail.
 func TestReportIdenticalAcrossEngines(t *testing.T) {
-	interp := Run(Config{Seed: 7}).Summary()
-	trans := Run(Config{Seed: 7, Translate: true}).Summary()
-	if interp != trans {
-		t.Fatalf("engine reports diverge:\n--- interpreted\n%s\n--- translated\n%s", interp, trans)
+	for _, seed := range []int64{7, 42} {
+		interp := Run(Config{Seed: seed}).Summary()
+		trans := Run(Config{Seed: seed, Translate: true}).Summary()
+		if interp != trans {
+			t.Errorf("seed %d: engine reports diverge:\n--- interpreted\n%s\n--- translated\n%s", seed, interp, trans)
+		}
 	}
 }
 
 // TestReportDeterministicAcrossWorkers: the summary is byte-identical
-// at any worker-pool size — the CI determinism cmp in library form.
+// at any worker-pool size.
 func TestReportDeterministicAcrossWorkers(t *testing.T) {
-	base := Run(Config{Seed: 42, Workers: 1}).Summary()
-	for _, w := range []int{2, 4, 8} {
-		if got := Run(Config{Seed: 42, Workers: w}).Summary(); got != base {
-			t.Fatalf("summary diverges at %d workers:\n--- workers=1\n%s\n--- workers=%d\n%s", w, base, w, got)
+	for _, seed := range []int64{7, 42} {
+		base := Run(Config{Seed: seed, Workers: 1}).Summary()
+		for _, w := range []int{2, 4, 8} {
+			if got := Run(Config{Seed: seed, Workers: w}).Summary(); got != base {
+				t.Errorf("seed %d: summary diverges at %d workers:\n--- workers=1\n%s\n--- workers=%d\n%s", seed, w, base, w, got)
+			}
 		}
 	}
 }

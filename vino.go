@@ -83,13 +83,6 @@ type Config = kernel.Config
 // Process is a user-level process with an identity and resource limits.
 type Process = kernel.Process
 
-// NewKernel builds a kernel from an explicit Config.
-//
-// Deprecated: use New with functional options (WithTrace, WithSeed,
-// WithFaultPlan, ...). NewKernel remains for callers that already hold
-// a Config value.
-func NewKernel(cfg Config) *Kernel { return kernel.New(cfg) }
-
 // UID identifies a user; Root may graft global policy points.
 type UID = graft.UID
 
@@ -146,26 +139,6 @@ func NewNet(k *Kernel) *Net { return netstk.New(k) }
 
 // Image is a compiled graft.
 type Image = sfi.Image
-
-// BuildSafeGraft runs the full trusted toolchain (assemble, verify,
-// SFI-rewrite, re-verify, sign) on GIR assembly source. Images built
-// with the kernel's Signer are loadable.
-//
-// Deprecated: use Toolchain.Build, which also exposes the optimizer
-// and unsafe builds behind one option struct.
-func BuildSafeGraft(src string, signer *sfi.Signer) (*Image, error) {
-	return Toolchain{Signer: signer}.Build(src, BuildOptions{})
-}
-
-// BuildOptimizedGraft is BuildSafeGraft with static discharge enabled:
-// provably in-segment accesses carry no run-time sandbox checks (the
-// optimizer the paper's §4.4 asks for), re-proven by the loader's
-// verifier.
-//
-// Deprecated: use Toolchain.Build with BuildOptions{Optimize: true}.
-func BuildOptimizedGraft(src string, signer *sfi.Signer) (*Image, error) {
-	return Toolchain{Signer: signer}.Build(src, BuildOptions{Optimize: true})
-}
 
 // TraceBuffer is the kernel's flight recorder (Kernel.Trace).
 type TraceBuffer = trace.Buffer
