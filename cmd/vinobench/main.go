@@ -66,40 +66,20 @@ func main() {
 
 	runTable := func(n int) {
 		ran = true
-		switch n {
-		case 3:
-			t, err := harness.ReadAheadTable()
-			if err != nil {
-				fail(err)
-			}
-			fmt.Println(t)
-		case 4:
-			t, err := harness.PageEvictionTable()
-			if err != nil {
-				fail(err)
-			}
-			fmt.Println(t)
-		case 5:
-			t, err := harness.SchedulingTable()
-			if err != nil {
-				fail(err)
-			}
-			fmt.Println(t)
-		case 6:
-			t, err := harness.EncryptionTable()
-			if err != nil {
-				fail(err)
-			}
-			fmt.Println(t)
-		case 7:
-			t, err := harness.BuildAbortTable()
-			if err != nil {
-				fail(err)
-			}
-			fmt.Println(t)
+		var t fmt.Stringer
+		var err error
+		switch {
+		case n >= 3 && n <= 6:
+			t, err = harness.Experiments[n-3].Table()
+		case n == 7:
+			t, err = harness.BuildAbortTable()
 		default:
-			fail(fmt.Errorf("no such table %d (paper evaluation tables are 3-7)", n))
+			err = fmt.Errorf("no such table %d (paper evaluation tables are 3-7)", n)
 		}
+		if err != nil {
+			fail(err)
+		}
+		fmt.Println(t)
 	}
 
 	runSweep := func(name string) {

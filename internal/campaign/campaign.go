@@ -66,21 +66,10 @@ type Config struct {
 	// injected kernel panics are contained and recovered. This is where
 	// most signature diversity lives.
 	Crash bool
-	// RulesPerClass sizes freshly generated plans (default 3).
-	RulesPerClass int
-	// CrashRulesPerSite sizes fresh plans' panic-rule complement when
-	// Crash is set (default 2).
-	CrashRulesPerSite int
 	// MaxCorpus caps how many novel-signature plans are distilled into
 	// minimized reproducers (default 16; 0 keeps the default, negative
 	// disables minimization entirely).
 	MaxCorpus int
-	// RedTeam arms each run's red-team phase: the adversarial SFI
-	// escape corpus plus an in-kernel compartment-violation probe. An
-	// escape surfaces as an invariant violation in that run's
-	// signature. Off by default, keeping existing campaign artifacts
-	// byte-identical.
-	RedTeam bool
 }
 
 func (cfg Config) withDefaults() Config {
@@ -101,12 +90,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.NCPU <= 0 {
 		cfg.NCPU = 1
-	}
-	if cfg.RulesPerClass <= 0 {
-		cfg.RulesPerClass = 3
-	}
-	if cfg.CrashRulesPerSite <= 0 {
-		cfg.CrashRulesPerSite = 2
 	}
 	if cfg.MaxCorpus == 0 {
 		cfg.MaxCorpus = 16
@@ -260,11 +243,7 @@ func freshPlan(cfg Config, seed int64) *fault.Plan {
 	if cfg.Extended {
 		classes = fault.ExtendedClasses()
 	}
-	p := fault.NewPlan(seed, classes, cfg.RulesPerClass)
-	if cfg.Crash {
-		p.Rules = append(p.Rules, fault.NewCrashRules(seed, cfg.CrashRulesPerSite)...)
-	}
-	return p
+	return harness.NewChaosPlan(seed, classes, cfg.Crash)
 }
 
 // runGeneration executes one generation's plans on the bounded worker
@@ -293,7 +272,6 @@ func chaosConfig(cfg Config, plan *fault.Plan) harness.ChaosConfig {
 		NCPU:       cfg.NCPU,
 		Extended:   cfg.Extended,
 		Crash:      cfg.Crash,
-		RedTeam:    cfg.RedTeam,
 	}
 }
 

@@ -19,10 +19,12 @@ import (
 // checkpointing to stable storage instead of RAM.
 //
 // Persistence is deliberately coarser than the in-memory ring: only
-// subsystems implementing Exporter contribute (the kernel log and
-// process table, transaction counters, file contents); purely volatile
-// machinery — the VM frame pool, lock tables, installed grafts, open
-// connections — is rebuilt by re-initialisation after import, exactly
+// subsystems implementing Exporter contribute — the kernel log and
+// process table, transaction and lock counters, installed grafts with
+// their signed images, file contents, the network stack's listeners and
+// the VM system's counters. Purely volatile machinery — lock tables,
+// open connections, address spaces and the VM frame pool — is not
+// exported; it is rebuilt by re-initialisation after import, exactly
 // as RAM-resident state is rebuilt after a reboot.
 //
 // The directory is compacted with an exponential-age policy: the newest

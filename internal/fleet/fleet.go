@@ -64,14 +64,6 @@ type Config struct {
 	// subdirectory per instance). Empty uses a temporary directory
 	// removed when the run ends.
 	Dir string
-	// TenantPolicy overrides the escalation thresholds and per-tenant
-	// resource grants. The zero value uses DefaultTenantLimits and the
-	// default ladder (throttle on the first expulsion, ban on the
-	// second).
-	TenantPolicy tenant.Policy
-	// GuardPolicy overrides the per-instance graft supervisor policy.
-	// Nil uses an aggressive ladder sized to the fleet's short rounds.
-	GuardPolicy *guard.Policy
 }
 
 // DefaultTenantLimits is the resource grant each tenant account starts
@@ -101,9 +93,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Workers <= 0 {
 		c.Workers = 1
-	}
-	if c.TenantPolicy.Limits == nil {
-		c.TenantPolicy.Limits = DefaultTenantLimits()
 	}
 	return c
 }
@@ -308,9 +297,6 @@ func (in *instance) violate(format string, args ...any) {
 // of the instance (including replacement reboots) uses the same one.
 func (in *instance) kernelConfig() kernel.Config {
 	gp := fleetGuardPolicy()
-	if in.cfg.GuardPolicy != nil {
-		gp = *in.cfg.GuardPolicy
-	}
 	kcfg := kernel.Config{
 		ZeroTxnCosts:    true,
 		Seed:            detpool.SubSeed(in.cfg.Seed, in.id),
@@ -374,7 +360,9 @@ func runInstance(cfg Config, id int, dir string) *InstanceResult {
 		rng: rand.New(rand.NewSource(detpool.SubSeed(cfg.Seed, id))),
 		res: &InstanceResult{ID: id},
 	}
-	in.treg = tenant.New(nil, nil, cfg.TenantPolicy)
+	// Each tenant gets DefaultTenantLimits and the default ladder
+	// (throttle on the first expulsion, ban on the second).
+	in.treg = tenant.New(nil, nil, tenant.Policy{Limits: DefaultTenantLimits()})
 	nt := in.tenantCount()
 	in.seqs = make([]int64, nt)
 	in.gens = make([]int, nt)

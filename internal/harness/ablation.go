@@ -40,23 +40,12 @@ func LockManagerAblation(iters int) (*LockAblationResult, error) {
 	if iters <= 0 {
 		iters = 1000
 	}
-	measure := func(policy lock.Policy) (float64, int64, error) {
-		k := kernel.New(kernel.Config{Timeslice: time.Hour})
-		cls := &lock.Class{Name: "ablate", Timeout: time.Second, Policy: policy}
-		l := k.Locks.NewLock("obj", cls)
-		var per float64
-		k.SpawnProcess("ablate", graft.Root, func(p *kernel.Process) {
-			t := p.Thread
-			total := timed(k, iters, nil, func() {
-				l.Acquire(t, lock.Exclusive)
-				_ = l.Release(t)
-			})
-			per = usPerOp(total, iters)
+	measure := func(policy lock.Policy) (per float64, calls int64, err error) {
+		err = RunLockAblation(policy, func(f *Fixture) {
+			per = usPerOp(timed(f.K, iters, nil, func() { _ = f.Op() }), iters)
+			calls = f.K.Locks.Stats().PolicyCalls
 		})
-		if err := k.Run(); err != nil {
-			return 0, 0, err
-		}
-		return per, k.Locks.Stats().PolicyCalls, nil
+		return per, calls, err
 	}
 	fast, _, err := measure(nil)
 	if err != nil {
@@ -69,6 +58,22 @@ func LockManagerAblation(iters int) (*LockAblationResult, error) {
 	return &LockAblationResult{FastPathUS: fast, PolicyPathUS: slow, PolicyCalls: calls}, nil
 }
 
+// RunLockAblation boots the lock ablation's fixture: one lock whose
+// decisions run inline (nil policy, Figure 4) or behind policy (Figure
+// 5); the op is one uncontended exclusive acquire/release pair. The
+// fixture supports any number of ops.
+func RunLockAblation(policy lock.Policy, drive Driver) error {
+	e := &env{K: kernel.New(kernel.Config{Timeslice: time.Hour})}
+	l := e.K.Locks.NewLock("obj", &lock.Class{Name: "ablate", Timeout: time.Second, Policy: policy})
+	return e.runOn(func(t *sched.Thread) error {
+		drive(&Fixture{K: e.K, Op: func() error {
+			l.Acquire(t, lock.Exclusive)
+			return l.Release(t)
+		}})
+		return nil
+	})
+}
+
 // DensityPoint is one point of the SFI overhead-vs-density sweep.
 type DensityPoint struct {
 	MemOpsPerIteration int
@@ -77,6 +82,10 @@ type DensityPoint struct {
 	Ratio              float64
 }
 
+// DensityMemOps are the memory operations per loop iteration the
+// density sweep visits.
+var DensityMemOps = []int{0, 2, 4, 6, 8}
+
 // SFIDensitySweep quantifies the paper's claim that SFI overhead is
 // proportional to the graft's load/store density ("the higher the ratio
 // of memory accesses to other instructions, the higher the SFI
@@ -84,25 +93,9 @@ type DensityPoint struct {
 // memory operations per loop iteration.
 func SFIDensitySweep() ([]DensityPoint, error) {
 	var out []DensityPoint
-	for mem := 0; mem <= 8; mem += 2 {
-		var body strings.Builder
-		body.WriteString(".name density\n.func main\nmain:\n    movi r4, 256\nloop:\n")
-		// Fixed ALU ballast.
-		for i := 0; i < 4; i++ {
-			body.WriteString("    add r5, r4, r4\n")
-		}
-		for i := 0; i < mem; i++ {
-			fmt.Fprintf(&body, "    addi r6, r10, %d\n    st [r6+0], r5\n", 64+8*i)
-		}
-		body.WriteString("    addi r4, r4, -1\n    jnz r4, loop\n    ret\n")
-		src := body.String()
-
+	for _, mem := range DensityMemOps {
 		run := func(safe bool) (float64, error) {
-			img, err := buildDensity(src, safe)
-			if err != nil {
-				return 0, err
-			}
-			vm, err := sfi.NewVM(img, sfi.Config{})
+			vm, err := DensityVM(mem, safe)
 			if err != nil {
 				return 0, err
 			}
@@ -125,12 +118,31 @@ func SFIDensitySweep() ([]DensityPoint, error) {
 	return out, nil
 }
 
-func buildDensity(src string, safe bool) (*sfi.Image, error) {
-	if safe {
-		img, _, err := sfi.BuildSafe(src, nil)
-		return img, err
+// DensityVM builds the density sweep's graft — fixed ALU ballast plus
+// mem stores per loop iteration, unprotected or SFI-rewritten — on a
+// fresh VM whose main runs one sweep point.
+func DensityVM(mem int, safe bool) (*sfi.VM, error) {
+	var body strings.Builder
+	body.WriteString(".name density\n.func main\nmain:\n    movi r4, 256\nloop:\n")
+	// Fixed ALU ballast.
+	for i := 0; i < 4; i++ {
+		body.WriteString("    add r5, r4, r4\n")
 	}
-	return sfi.BuildUnsafe(src)
+	for i := 0; i < mem; i++ {
+		fmt.Fprintf(&body, "    addi r6, r10, %d\n    st [r6+0], r5\n", 64+8*i)
+	}
+	body.WriteString("    addi r4, r4, -1\n    jnz r4, loop\n    ret\n")
+	var img *sfi.Image
+	var err error
+	if safe {
+		img, _, err = sfi.BuildSafe(body.String(), nil)
+	} else {
+		img, err = sfi.BuildUnsafe(body.String())
+	}
+	if err != nil {
+		return nil, err
+	}
+	return sfi.NewVM(img, sfi.Config{})
 }
 
 // OptPoint is one row of the MiSFIT-optimizer ablation.
@@ -288,7 +300,7 @@ func TxnProtectionAblation() (*TxnAblationResult, error) {
 			Watchdog:  time.Second,
 		})
 		var holderFreed bool
-		_, err = e.measureOn(func(t *sched.Thread) time.Duration {
+		err = e.runOn(func(t *sched.Thread) error {
 			img, berr := e.buildVariant(`
 .name wrecker
 .import ablate.mutate_and_lock
@@ -301,14 +313,14 @@ main:
     ret
 `, true)
 			if berr != nil {
-				panic(berr)
+				return berr
 			}
 			if _, ierr := e.install(t, point.Name, img, graft.InstallOptions{}); ierr != nil {
-				panic(ierr)
+				return ierr
 			}
 			_, _ = point.Invoke(t, 0)
 			holderFreed = l.HolderCount() == 0
-			return 0
+			return nil
 		})
 		if err != nil {
 			return false, false, err

@@ -5,12 +5,9 @@ import (
 	"strings"
 	"time"
 
-	vfs "vino/internal/fs"
 	"vino/internal/graft"
 	"vino/internal/kernel"
 	"vino/internal/lock"
-	"vino/internal/sched"
-	"vino/internal/vmm"
 )
 
 // AbortRow is one line of Table 7: the cost of aborting the null path
@@ -46,184 +43,39 @@ func (t *AbortTable) String() string {
 	return b.String()
 }
 
-// paperTable7 holds the paper's (null, full) abort costs in us.
-var paperTable7 = map[string][2]float64{
-	"Read-Ahead":    {32, 45},
-	"Page Eviction": {38, 50},
-	"Scheduling":    {33, 45},
-	"Encryption":    {36, 36},
-}
-
 // BuildAbortTable measures Table 7 by running, for each sample graft,
-// the null-abort variant (trap before any work) and the full-abort
-// variant (trap after the complete graft body) and reading the
-// transaction manager's abort duration.
+// its Abort-path fixture once with the null-abort variant (trap before
+// any work) and once with the full-abort variant (trap after the
+// complete graft body) and reading the transaction manager's abort
+// duration.
 func BuildAbortTable() (*AbortTable, error) {
 	tbl := &AbortTable{}
-	type exp struct {
-		name      string
-		nullAbort func() (time.Duration, error)
-		fullAbort func() (time.Duration, error)
-	}
-	exps := []exp{
-		{"Read-Ahead",
-			func() (time.Duration, error) { return abortCostReadAhead(nullAbortSrc) },
-			func() (time.Duration, error) { return abortCostReadAhead(raGraftAbortBody) }},
-		{"Page Eviction",
-			func() (time.Duration, error) { return abortCostEviction(nullAbortSrc) },
-			func() (time.Duration, error) { return abortCostEviction(evictGraftAbortBody) }},
-		{"Scheduling",
-			func() (time.Duration, error) { return abortCostScheduling(nullAbortSrc) },
-			func() (time.Duration, error) { return abortCostScheduling(schedGraftAbortBody) }},
-		{"Encryption",
-			func() (time.Duration, error) { return abortCostEncryption(nullAbortSrc) },
-			func() (time.Duration, error) { return abortCostEncryption(encryptGraftAbortBody) }},
-	}
-	for _, x := range exps {
-		nd, err := x.nullAbort()
-		if err != nil {
-			return nil, fmt.Errorf("table 7 %s null: %w", x.name, err)
+	for _, x := range Experiments {
+		var us [2]float64
+		for i, full := range []bool{false, true} {
+			err := x.RunAbort(full, func(f *Fixture) {
+				if f.Setup != nil {
+					f.Setup(0)
+				}
+				_ = f.Op() // traps by design
+				us[i] = float64(f.K.Txns.LastAbortDuration()) / float64(time.Microsecond)
+			})
+			if err != nil {
+				return nil, fmt.Errorf("table 7 %s (full=%t): %w", x.Name, full, err)
+			}
 		}
-		fd, err := x.fullAbort()
-		if err != nil {
-			return nil, fmt.Errorf("table 7 %s full: %w", x.name, err)
-		}
-		p := paperTable7[x.name]
 		tbl.Rows = append(tbl.Rows, AbortRow{
-			Graft:       x.name,
-			NullAbortUS: float64(nd) / float64(time.Microsecond),
-			FullAbortUS: float64(fd) / float64(time.Microsecond),
-			PaperNullUS: p[0],
-			PaperFullUS: p[1],
+			Graft:       x.Name,
+			NullAbortUS: us[0],
+			FullAbortUS: us[1],
+			PaperNullUS: x.paperAbort[0],
+			PaperFullUS: x.paperAbort[1],
 		})
 	}
 	tbl.Notes = append(tbl.Notes,
 		"abort cost = fixed abort overhead + 10 us per lock released + undo processing (§4.5)",
 		"encryption holds no locks and pushes no undos, so null and full aborts cost the same (as in the paper)")
 	return tbl, nil
-}
-
-// abortCostReadAhead installs the given trapping graft on a compute-ra
-// point, invokes it once, and returns the measured abort duration.
-func abortCostReadAhead(src string) (time.Duration, error) {
-	e := newEnv()
-	fsys := vfs.New(e.K, vfs.NewDisk(vfs.FujitsuM2694ESA()), 256)
-	fsys.Create("db", 12<<20, graft.Root, false)
-	var dur time.Duration
-	_, err := e.measureOn(func(t *sched.Thread) time.Duration {
-		of, err := fsys.Open(t, "db")
-		if err != nil {
-			panic(err)
-		}
-		point := of.RAPoint()
-		point.KeepOnAbort = true
-		img, err := e.buildVariant(src, true)
-		if err != nil {
-			panic(err)
-		}
-		g, err := e.install(t, point.Name, img, graft.InstallOptions{})
-		if err != nil {
-			panic(err)
-		}
-		poke64(g.VM().Heap(), 0, 8*vfs.BlockSize)
-		poke64(g.VM().Heap(), 8, vfs.BlockSize)
-		poke64(g.VM().Heap(), 16, int64(of.FD()))
-		_, _ = point.Invoke(t, 0, vfs.BlockSize)
-		dur = e.K.Txns.LastAbortDuration()
-		return 0
-	})
-	return dur, err
-}
-
-func abortCostEviction(src string) (time.Duration, error) {
-	e := newEnv()
-	v := vmm.New(e.K, 600)
-	var dur time.Duration
-	_, err := e.measureOn(func(t *sched.Thread) time.Duration {
-		vas := v.NewVAS(t)
-		point := vas.EvictPoint()
-		point.KeepOnAbort = true
-		img, err := e.buildVariant(src, true)
-		if err != nil {
-			panic(err)
-		}
-		g, err := e.install(t, point.Name, img, graft.InstallOptions{})
-		if err != nil {
-			panic(err)
-		}
-		heap := g.VM().Heap()
-		poke64(heap, 0, 3)
-		for i := int64(0); i < 3; i++ {
-			poke64(heap, 8+8*int(i), i)
-		}
-		for i := int64(0); i < 512; i++ {
-			vas.Touch(t, i)
-		}
-		v.MakeVictimNext(vas, 0)
-		v.EvictOne(t)
-		dur = e.K.Txns.LastAbortDuration()
-		return 0
-	})
-	return dur, err
-}
-
-func abortCostScheduling(src string) (time.Duration, error) {
-	k := kernel.New(kernel.Config{Timeslice: time.Hour, UnsafeGrafts: true})
-	e := &env{K: k}
-	k.EnableScheduleDelegation()
-	ids := make([]int64, 64)
-	for i := range ids {
-		ids[i] = int64(1000 + i)
-	}
-	k.SetProcessList(ids)
-	var dur time.Duration
-	var fail error
-	k.SpawnProcess("client", graft.Root, func(p *kernel.Process) {
-		t := p.Thread
-		point := k.DelegatePoint(t)
-		point.KeepOnAbort = true
-		img, err := e.buildVariant(src, true)
-		if err != nil {
-			fail = err
-			return
-		}
-		if _, err := e.install(t, point.Name, img, graft.InstallOptions{}); err != nil {
-			fail = err
-			return
-		}
-		_, _ = point.Invoke(t, int64(t.ID()))
-		dur = k.Txns.LastAbortDuration()
-	})
-	if err := k.Run(); err != nil {
-		return 0, err
-	}
-	return dur, fail
-}
-
-func abortCostEncryption(src string) (time.Duration, error) {
-	e := newEnv()
-	point := e.K.Grafts.RegisterPoint(&graft.Point{
-		Name:      "stream/0.filter",
-		Kind:      graft.Function,
-		Privilege: graft.Local,
-		Default:   func(t *sched.Thread, args []int64) (int64, error) { return 0, nil },
-		Watchdog:  100 * time.Millisecond,
-	})
-	point.KeepOnAbort = true
-	var dur time.Duration
-	_, err := e.measureOn(func(t *sched.Thread) time.Duration {
-		img, err := e.buildVariant(src, true)
-		if err != nil {
-			panic(err)
-		}
-		if _, err := e.install(t, point.Name, img, graft.InstallOptions{}); err != nil {
-			panic(err)
-		}
-		_, _ = point.Invoke(t, 8192)
-		dur = e.K.Txns.LastAbortDuration()
-		return 0
-	})
-	return dur, err
 }
 
 // SweepPoint is one point of the §4.5 abort-cost sweep.

@@ -31,9 +31,6 @@ type ChaosConfig struct {
 	Seed int64
 	// Classes selects which fault classes to inject (nil = all).
 	Classes []fault.Class
-	// RulesPerClass is K, the number of injections scheduled per class
-	// (default 3).
-	RulesPerClass int
 	// Iterations sizes each workload phase (default 48; -quick uses
 	// less).
 	Iterations int
@@ -51,7 +48,7 @@ type ChaosConfig struct {
 	// objects under injection.
 	Extended bool
 	// Plan, when non-nil, is used verbatim instead of deriving one from
-	// Seed/Classes/RulesPerClass — the replay path for saved or
+	// Seed and Classes (NewChaosPlan) — the replay path for saved or
 	// hand-minimised plans (fault.Decode). Seed should match Plan.Seed
 	// so seed-keyed workload decisions replay too; RunChaos copies it
 	// over when it does not.
@@ -91,9 +88,6 @@ type ChaosConfig struct {
 	// Restored state and trace dumps are byte-identical either way;
 	// the switch exists for cost comparison and regression A/Bs.
 	CheckpointFullCopy bool
-	// CrashRulesPerSite is how many Panic rules are derived per crash
-	// site (default 2) when Crash is set and no explicit Plan is given.
-	CrashRulesPerSite int
 	// NoRecover disables checkpointing and recovery: the first injected
 	// panic of the crash phase is fatal and reported as FatalPanic. The
 	// minimizer replays candidate plans under NoRecover to check that a
@@ -135,9 +129,6 @@ func (cfg ChaosConfig) withDefaults() ChaosConfig {
 	if cfg.NCPU <= 0 {
 		cfg.NCPU = 1
 	}
-	if cfg.RulesPerClass <= 0 {
-		cfg.RulesPerClass = 3
-	}
 	if cfg.Iterations <= 0 {
 		cfg.Iterations = 48
 	}
@@ -148,11 +139,19 @@ func (cfg ChaosConfig) withDefaults() ChaosConfig {
 		if cfg.CheckpointEvery <= 0 {
 			cfg.CheckpointEvery = 20 * time.Millisecond
 		}
-		if cfg.CrashRulesPerSite <= 0 {
-			cfg.CrashRulesPerSite = 2
-		}
 	}
 	return cfg
+}
+
+// NewChaosPlan derives the plan a chaos run uses when it is given none:
+// three rules per class, plus two Panic rules per crash site when crash
+// is set.
+func NewChaosPlan(seed int64, classes []fault.Class, crash bool) *fault.Plan {
+	plan := fault.NewPlan(seed, classes, 3)
+	if crash {
+		plan.Rules = append(plan.Rules, fault.NewCrashRules(seed, 2)...)
+	}
+	return plan
 }
 
 // ChaosReport is the outcome of a chaos run.
@@ -375,10 +374,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	cfg = cfg.withDefaults()
 	plan := cfg.Plan
 	if plan == nil {
-		plan = fault.NewPlan(cfg.Seed, cfg.Classes, cfg.RulesPerClass)
-		if cfg.Crash {
-			plan.Rules = append(plan.Rules, fault.NewCrashRules(cfg.Seed, cfg.CrashRulesPerSite)...)
-		}
+		plan = NewChaosPlan(cfg.Seed, cfg.Classes, cfg.Crash)
 	} else {
 		cfg.Seed = plan.Seed
 	}

@@ -35,34 +35,55 @@ type CheckpointCostPoint struct {
 	Speedup float64
 }
 
-// checkpointCostEnv is one measurement kernel: a file of nblocks blocks,
-// all written once, checkpointed, ready for re-dirty rounds.
-type checkpointCostEnv struct {
-	k    *kernel.Kernel
-	fsys *vfs.FS
-	file string
+// CheckpointCostEnv is the sweep's fixture: a file of nblocks blocks,
+// all written once and checkpointed, then a dirty fraction re-written so
+// the next capture has work to carry.
+type CheckpointCostEnv struct {
+	k       *kernel.Kernel
+	fsys    *vfs.FS
+	file    string
+	nblocks int
+	stride  int // write every stride-th block per round; 0 writes none
+	// Payload is the block payload one capture carries in this mode:
+	// the delta the manager asks for (incremental) or the whole image
+	// (full copy).
+	Payload int64
 }
 
-func newCheckpointCostEnv(nblocks int, fullCopy bool) (*checkpointCostEnv, error) {
+// NewCheckpointCostEnv boots the fixture for nblocks of state with pct
+// percent of it dirty, in full-copy or incremental mode.
+func NewCheckpointCostEnv(nblocks, pct int, fullCopy bool) (*CheckpointCostEnv, error) {
 	k := kernel.New(kernel.Config{
 		Timeslice:          time.Hour,
 		CheckpointEvery:    time.Hour, // explicit Checkpoint() only
 		CheckpointFullCopy: fullCopy,
 	})
-	e := &checkpointCostEnv{k: k, file: "ckpt-db"}
+	e := &CheckpointCostEnv{k: k, file: "ckpt-db", nblocks: nblocks, stride: 1}
 	e.fsys = vfs.New(k, vfs.NewDisk(vfs.FujitsuM2694ESA()), nblocks+64)
 	e.fsys.Create(e.file, int64(nblocks)*vfs.BlockSize, graft.Root, false)
-	if err := e.writeBlocks(nblocks, 1, 0); err != nil {
+	if err := e.Dirty(0); err != nil {
 		return nil, err
 	}
 	e.k.Checkpoint() // the base image holds the full state
+	e.stride = dirtyStride(pct)
+	if err := e.Dirty(0); err != nil {
+		return nil, err
+	}
+	if fullCopy {
+		e.Payload = vfs.SnapshotBytes(e.fsys.CrashSnapshot())
+	} else {
+		e.Payload = vfs.SnapshotBytes(e.fsys.CrashDelta(e.k.Crash.Gen() - 1))
+	}
 	return e, nil
 }
 
-// writeBlocks writes every stride-th block of the first nblocks,
-// starting at block phase, through the real write path (so dirty
-// tracking stamps fire exactly as in a chaos run).
-func (e *checkpointCostEnv) writeBlocks(nblocks, stride, phase int) error {
+// Dirty re-writes the dirty fraction through the real write path (so
+// dirty tracking stamps fire exactly as in a chaos run), phase-shifted
+// by round so the same blocks are not rewritten every time.
+func (e *CheckpointCostEnv) Dirty(round int) error {
+	if e.stride == 0 {
+		return nil
+	}
 	var fail error
 	e.k.SpawnProcess("ckpt-writer", graft.Root, func(p *kernel.Process) {
 		t := p.Thread
@@ -73,7 +94,7 @@ func (e *checkpointCostEnv) writeBlocks(nblocks, stride, phase int) error {
 		}
 		defer of.Close()
 		buf := make([]byte, vfs.BlockSize)
-		for b := phase % stride; b < nblocks; b += stride {
+		for b := round % e.stride; b < e.nblocks; b += e.stride {
 			if _, err := of.WriteAt(t, buf, int64(b)*vfs.BlockSize); err != nil {
 				fail = err
 				return
@@ -85,6 +106,9 @@ func (e *checkpointCostEnv) writeBlocks(nblocks, stride, phase int) error {
 	}
 	return fail
 }
+
+// Capture takes one checkpoint: the measured op.
+func (e *CheckpointCostEnv) Capture() { e.k.Checkpoint() }
 
 // dirtyStride converts a percentage to a write stride (100% -> every
 // block, 10% -> every 10th, 1% -> every 100th).
@@ -101,40 +125,23 @@ func dirtyStride(pct int) int {
 // measureCheckpointCost runs `rounds` re-dirty+capture rounds in one
 // mode and returns the mean capture time and the capture payload.
 func measureCheckpointCost(nblocks, pct int, fullCopy bool) (us float64, bytes int64, err error) {
-	e, err := newCheckpointCostEnv(nblocks, fullCopy)
+	e, err := NewCheckpointCostEnv(nblocks, pct, fullCopy)
 	if err != nil {
 		return 0, 0, err
 	}
-	stride := dirtyStride(pct)
-
-	// Size the capture this grid point produces: the delta the manager
-	// would ask for (incremental), or the whole image (full copy).
-	if stride > 0 {
-		if err := e.writeBlocks(nblocks, stride, 0); err != nil {
-			return 0, 0, err
-		}
-	}
-	if fullCopy {
-		bytes = vfs.SnapshotBytes(e.fsys.CrashSnapshot())
-	} else {
-		bytes = vfs.SnapshotBytes(e.fsys.CrashDelta(e.k.Crash.Gen() - 1))
-	}
-
 	const rounds = 5
 	var total time.Duration
 	for r := 0; r < rounds; r++ {
-		if r > 0 && stride > 0 {
-			// Fresh dirt each round, phase-shifted so the same blocks
-			// are not rewritten every time.
-			if err := e.writeBlocks(nblocks, stride, r); err != nil {
+		if r > 0 {
+			if err := e.Dirty(r); err != nil {
 				return 0, 0, err
 			}
 		}
 		start := time.Now()
-		e.k.Checkpoint()
+		e.Capture()
 		total += time.Since(start)
 	}
-	return float64(total) / rounds / float64(time.Microsecond), bytes, nil
+	return float64(total) / rounds / float64(time.Microsecond), e.Payload, nil
 }
 
 // CheckpointCostSweep measures the dirty-fraction × state-size grid.

@@ -43,20 +43,21 @@ func ReadAheadWinSweep(computesUS []float64) ([]RAWinPoint, error) {
 		e := newEnv()
 		fsys := vfs.New(e.K, vfs.NewDisk(vfs.FujitsuM2694ESA()), 8192)
 		fsys.Create("db", 12<<20, graft.Root, false)
-		total, err := e.measureOn(func(t *sched.Thread) time.Duration {
+		var total time.Duration
+		err := e.runOn(func(t *sched.Thread) error {
 			of, err := fsys.Open(t, "db")
 			if err != nil {
-				panic(err)
+				return err
 			}
 			var g *graft.Installed
 			if useGraft {
 				img, err := e.buildVariant(raGraftBody, true)
 				if err != nil {
-					panic(err)
+					return err
 				}
 				g, err = e.install(t, of.RAPoint().Name, img, graft.InstallOptions{})
 				if err != nil {
-					panic(err)
+					return err
 				}
 				poke64(g.VM().Heap(), 16, int64(of.FD()))
 			}
@@ -73,13 +74,14 @@ func ReadAheadWinSweep(computesUS []float64) ([]RAWinPoint, error) {
 					}
 				}
 				if _, err := of.ReadAt(t, buf, b*vfs.BlockSize); err != nil {
-					panic(err)
+					return err
 				}
 				if compute > 0 {
 					t.Charge(compute)
 				}
 			}
-			return e.K.Clock.Now() - start
+			total = e.K.Clock.Now() - start
+			return nil
 		})
 		if err != nil {
 			return 0, err
@@ -135,7 +137,7 @@ func (e *EvictionCostBenefit) String() string {
 // BuildEvictionCostBenefit derives the analysis from the Table 4
 // measurements plus an agreement-path measurement.
 func BuildEvictionCostBenefit() (*EvictionCostBenefit, error) {
-	tbl, err := PageEvictionTable()
+	tbl, err := PageEviction.Table()
 	if err != nil {
 		return nil, err
 	}
@@ -161,16 +163,17 @@ func measureEvictionAgreement() (float64, error) {
 	const pages = 512
 	v := vmm.New(e.K, pages+128)
 	iters := 60
-	total, err := e.measureOn(func(t *sched.Thread) time.Duration {
+	var total time.Duration
+	err := e.runOn(func(t *sched.Thread) error {
 		vas := v.NewVAS(t)
 		point := vas.EvictPoint()
 		img, err := e.buildVariant(evictGraftBody, true)
 		if err != nil {
-			panic(err)
+			return err
 		}
 		g, err := e.install(t, point.Name, img, graft.InstallOptions{})
 		if err != nil {
-			panic(err)
+			return err
 		}
 		heap := g.VM().Heap()
 		hot := []int64{0, 1, 2}
@@ -187,9 +190,10 @@ func measureEvictionAgreement() (float64, error) {
 			vas.Touch(t, cold)
 			v.MakeVictimNext(vas, cold)
 		}
-		return timed(e.K, iters, setup, func() {
+		total = timed(e.K, iters, setup, func() {
 			v.EvictOne(t)
 		})
+		return nil
 	})
 	if err != nil {
 		return 0, err

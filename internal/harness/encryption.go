@@ -5,14 +5,8 @@ import (
 	"time"
 
 	"vino/internal/graft"
-	"vino/internal/kernel"
 	"vino/internal/sched"
 )
-
-// Paper values for Table 6 (Encryption Graft Overhead), elapsed us.
-var paperTable6 = map[string]float64{
-	PathBase: 105, PathVINO: 105, PathNull: 193, PathUnsafe: 359, PathSafe: 546, PathAbort: 550,
-}
 
 // bcopyCycles is the modelled in-kernel copy of an 8 KB buffer: the
 // paper notes bcopy "is implemented using a hardware copy instruction
@@ -64,37 +58,28 @@ loop:
     jnz r4, loop
 ` + trapTail
 
-// EncryptionTable reproduces Table 6: the stream graft encrypting an
-// 8 KB buffer on its way to user level. The base path is the in-kernel
-// bcopy the graft replaces.
-func EncryptionTable() (*Table, error) {
-	tbl := &Table{Number: 6, Title: "Encryption Graft Overhead (us per 8 KB buffer)"}
-	variants := []struct {
-		path  string
-		graft string
-		safe  bool
-	}{
-		{PathBase, "", false},
-		{PathVINO, "", false},
-		{PathNull, nullGraftSrc, true},
-		{PathUnsafe, encryptGraftBody, false},
-		{PathSafe, encryptGraftBody, true},
-		{PathAbort, encryptGraftAbortBody, true},
-	}
-	for _, v := range variants {
-		us, err := measureEncryptionPath(v.path, v.graft, v.safe)
-		if err != nil {
-			return nil, fmt.Errorf("table 6 %s: %w", v.path, err)
-		}
-		tbl.Rows = append(tbl.Rows, Row{Path: v.path, ElapsedUS: us, PaperUS: paperTable6[v.path]})
-	}
-	tbl.Notes = append(tbl.Notes,
+// Encryption is Table 6: the stream graft encrypting an 8 KB buffer on
+// its way to user level. The base path is the in-kernel bcopy the graft
+// replaces.
+var Encryption = &Experiment{
+	Number:    6,
+	Name:      "Encryption",
+	Iters:     defaultIters,
+	title:     "Encryption Graft Overhead (us per 8 KB buffer)",
+	body:      encryptGraftBody,
+	abortBody: encryptGraftAbortBody,
+	paper: map[string]float64{
+		PathBase: 105, PathVINO: 105, PathNull: 193, PathUnsafe: 359, PathSafe: 546, PathAbort: 550,
+	},
+	paperAbort: [2]float64{36, 36},
+	notes: []string{
 		"base models the 1-cycle-per-word hardware copy the paper describes; its measured 105 us includes cache effects our model reports within the graft paths instead",
-		"safe/unsafe ratio is the headline SFI worst case: every word costs two sandboxed accesses")
-	return tbl, nil
+		"safe/unsafe ratio is the headline SFI worst case: every word costs two sandboxed accesses",
+	},
+	fixture: encryptionFixture,
 }
 
-func measureEncryptionPath(path, graftSrc string, safe bool) (float64, error) {
+func encryptionFixture(v variant, drive Driver) error {
 	e := newEnv()
 	bcopyCost := e.K.Clock.CycleDuration(bcopyCycles)
 	// The stream filter point: its default is the plain kernel copy.
@@ -108,52 +93,46 @@ func measureEncryptionPath(path, graftSrc string, safe bool) (float64, error) {
 		},
 		Watchdog: 100 * time.Millisecond,
 	})
-	point.KeepOnAbort = true
-	iters := defaultIters
-	total, err := e.measureOn(func(t *sched.Thread) time.Duration {
-		var g *graft.Installed
-		if graftSrc != "" {
-			img, err := e.buildVariant(graftSrc, safe)
-			if err != nil {
-				panic(err)
-			}
-			var ierr error
-			g, ierr = e.install(t, point.Name, img, graft.InstallOptions{})
-			if ierr != nil {
-				panic(ierr)
-			}
+	return e.runOn(func(t *sched.Thread) error {
+		g, err := e.installVariant(t, point, v)
+		if err != nil {
+			return err
+		}
+		if g != nil {
 			// Seed the 8 KB input buffer.
 			heap := g.VM().Heap()
 			for i := 0; i < 8192; i++ {
 				heap[i] = byte(i * 7)
 			}
 		}
-		switch path {
+		f := &Fixture{K: e.K, Graft: g}
+		switch v.path {
 		case PathBase:
 			// The copy with all graft support removed.
-			return timed(e.K, iters, nil, func() {
+			f.Op = func() error {
 				t.Charge(bcopyCost)
-			})
+				return nil
+			}
 		case PathNull:
 			// The null graft is transaction-wrapped but the kernel still
 			// performs the copy (the data must move regardless).
-			return timed(e.K, iters, nil, func() {
-				_, _ = point.Invoke(t, 8192)
+			f.Op = func() error {
+				_, err := point.Invoke(t, 8192)
 				t.Charge(bcopyCost)
-			})
+				return err
+			}
 		default:
 			// VINO: ungrafted invoke runs the default (the copy).
 			// Unsafe/safe/abort: the graft itself moves (and encrypts)
 			// the data, replacing the copy.
-			return timed(e.K, iters, nil, func() {
-				_, _ = point.Invoke(t, 8192)
-			})
+			f.Op = func() error {
+				_, err := point.Invoke(t, 8192)
+				return err
+			}
 		}
+		drive(f)
+		return nil
 	})
-	if err != nil {
-		return 0, err
-	}
-	return usPerOp(total, iters), nil
 }
 
 // EncryptionCorrectness verifies (outside timing) that the safe and
@@ -161,37 +140,15 @@ func measureEncryptionPath(path, graftSrc string, safe bool) (float64, error) {
 // must preserve semantics. Used by tests and vinobench -check.
 func EncryptionCorrectness() error {
 	outputs := make([][]byte, 0, 2)
-	for _, safe := range []bool{false, true} {
-		e := newEnv()
-		point := e.K.Grafts.RegisterPoint(&graft.Point{
-			Name:      "stream/0.filter",
-			Kind:      graft.Function,
-			Privilege: graft.Local,
-			Default:   func(t *sched.Thread, args []int64) (int64, error) { return 0, nil },
-		})
-		img, err := e.buildVariant(encryptGraftBody, safe)
-		if err != nil {
-			return err
-		}
+	for _, path := range []string{PathUnsafe, PathSafe} {
 		var out []byte
 		var fail error
-		e.K.SpawnProcess("check", graft.Root, func(p *kernel.Process) {
-			g, err := e.install(p.Thread, point.Name, img, graft.InstallOptions{})
-			if err != nil {
-				fail = err
-				return
+		err := Encryption.Run(path, func(f *Fixture) {
+			if fail = f.Op(); fail == nil {
+				out = append([]byte(nil), f.Graft.VM().Heap()[8192:16384]...)
 			}
-			heap := g.VM().Heap()
-			for i := 0; i < 8192; i++ {
-				heap[i] = byte(i * 7)
-			}
-			if _, err := point.Invoke(p.Thread, 8192); err != nil {
-				fail = err
-				return
-			}
-			out = append([]byte(nil), heap[8192:16384]...)
 		})
-		if err := e.K.Run(); err != nil {
+		if err != nil {
 			return err
 		}
 		if fail != nil {

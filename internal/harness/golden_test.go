@@ -129,27 +129,11 @@ func TestGoldenCrashDump(t *testing.T) {
 
 func TestGoldenTables(t *testing.T) {
 	var b strings.Builder
-	if tab, err := ReadAheadTable(); err != nil {
-		t.Fatalf("ReadAheadTable: %v", err)
-	} else {
-		b.WriteString(tab.String())
-		b.WriteString("\n")
-	}
-	if tab, err := PageEvictionTable(); err != nil {
-		t.Fatalf("PageEvictionTable: %v", err)
-	} else {
-		b.WriteString(tab.String())
-		b.WriteString("\n")
-	}
-	if tab, err := SchedulingTable(); err != nil {
-		t.Fatalf("SchedulingTable: %v", err)
-	} else {
-		b.WriteString(tab.String())
-		b.WriteString("\n")
-	}
-	if tab, err := EncryptionTable(); err != nil {
-		t.Fatalf("EncryptionTable: %v", err)
-	} else {
+	for _, x := range Experiments {
+		tab, err := x.Table()
+		if err != nil {
+			t.Fatalf("Table %d: %v", x.Number, err)
+		}
 		b.WriteString(tab.String())
 		b.WriteString("\n")
 	}

@@ -103,6 +103,99 @@ func (t *Table) String() string {
 // count to amortise warm-up effects (cold caches, queue growth).
 const defaultIters = 200
 
+// Fixture is one experiment path, booted and ready to measure: the
+// kernel and substrate are up and the path's graft variant is
+// installed.
+type Fixture struct {
+	K *kernel.Kernel
+	// Graft is the installed variant; nil on the Base and VINO paths.
+	Graft *graft.Installed
+	// Setup prepares iteration i outside the measured region; nil when
+	// the path needs none.
+	Setup func(i int)
+	// Op is the measured operation.
+	Op func() error
+}
+
+// A Driver measures a fixture. It is called once, on the fixture's
+// measuring thread; the fixture supports the experiment's Iters ops.
+type Driver func(f *Fixture)
+
+// Experiment is one of the paper's sample grafts (Tables 3–6) with its
+// single fixture. The virtual-time table, the graft's Table 7 row and
+// the host-clock benchmarks all run that fixture; only the driver
+// differs.
+type Experiment struct {
+	Number int    // paper table number
+	Name   string // the graft, as Table 7 labels it
+	// Iters is how many ops one fixture supports, and the number the
+	// virtual-time table averages over.
+	Iters int
+
+	title      string
+	body       string             // the graft: Unsafe and Safe paths
+	abortBody  string             // the graft trapping after its work: Abort path
+	paper      map[string]float64 // the paper's elapsed us per path
+	paperAbort [2]float64         // Table 7: (null, full) abort cost in us
+	notes      []string
+	fixture    func(v variant, drive Driver) error
+}
+
+// variant is the graft one path installs: none (src == "") on the Base
+// and VINO paths, unprotected on Unsafe, SFI-rewritten otherwise.
+type variant struct {
+	path string
+	src  string
+	safe bool
+}
+
+// Experiments lists Tables 3–6 in order.
+var Experiments = []*Experiment{ReadAhead, PageEviction, Scheduling, Encryption}
+
+// Run boots a fresh fixture for path (one of PathOrder) and hands it to
+// drive.
+func (x *Experiment) Run(path string, drive Driver) error {
+	v := variant{path: path, safe: true}
+	switch path {
+	case PathNull:
+		v.src = nullGraftSrc
+	case PathUnsafe:
+		v.src, v.safe = x.body, false
+	case PathSafe:
+		v.src = x.body
+	case PathAbort:
+		v.src = x.abortBody
+	}
+	return x.fixture(v, drive)
+}
+
+// RunAbort boots the Abort-path fixture with Table 7's graft: the null
+// graft that traps at once, or (full) the graft trapping after its work.
+func (x *Experiment) RunAbort(full bool, drive Driver) error {
+	src := nullAbortSrc
+	if full {
+		src = x.abortBody
+	}
+	return x.fixture(variant{path: PathAbort, src: src, safe: true}, drive)
+}
+
+// Table measures every path in virtual time.
+func (x *Experiment) Table() (*Table, error) {
+	tbl := &Table{Number: x.Number, Title: x.title, Notes: x.notes}
+	for _, path := range PathOrder {
+		var total time.Duration
+		err := x.Run(path, func(f *Fixture) {
+			// The Abort path's op fails by design; its cost counts.
+			total = timed(f.K, x.Iters, f.Setup, func() { _ = f.Op() })
+		})
+		if err != nil {
+			return nil, fmt.Errorf("table %d %s: %w", x.Number, path, err)
+		}
+		tbl.Rows = append(tbl.Rows, Row{Path: path, ElapsedUS: usPerOp(total, x.Iters), PaperUS: x.paper[path]})
+	}
+	return tbl, nil
+}
+
 // env is one measurement kernel.
 type env struct {
 	K *kernel.Kernel
@@ -126,18 +219,17 @@ func usPerOp(d time.Duration, n int) float64 {
 	return float64(d) / float64(n) / float64(time.Microsecond)
 }
 
-// measureOn runs body on a Root process thread and returns its result.
-// body receives the thread and reports total virtual duration of the
-// timed region.
-func (e *env) measureOn(body func(t *sched.Thread) time.Duration) (time.Duration, error) {
-	var out time.Duration
+// runOn runs body on a Root process thread and returns the first error
+// of body or the kernel run.
+func (e *env) runOn(body func(t *sched.Thread) error) error {
+	var fail error
 	e.K.SpawnProcess("harness", graft.Root, func(p *kernel.Process) {
-		out = body(p.Thread)
+		fail = body(p.Thread)
 	})
 	if err := e.K.Run(); err != nil {
-		return 0, err
+		return err
 	}
-	return out, nil
+	return fail
 }
 
 // buildVariant compiles graft source according to the path being
@@ -157,6 +249,21 @@ func (e *env) install(t *sched.Thread, point string, img *sfi.Image, opts graft.
 		opts.AllowUnsafe = true
 	}
 	return e.K.Grafts.Install(t, point, img, opts)
+}
+
+// installVariant builds and installs v at point, which keeps the graft
+// across aborts so the path can be run repeatedly. It installs nothing
+// (and returns nil) for an ungrafted path.
+func (e *env) installVariant(t *sched.Thread, point *graft.Point, v variant) (*graft.Installed, error) {
+	if v.src == "" {
+		return nil, nil
+	}
+	img, err := e.buildVariant(v.src, v.safe)
+	if err != nil {
+		return nil, err
+	}
+	point.KeepOnAbort = true
+	return e.install(t, point.Name, img, graft.InstallOptions{})
 }
 
 // timed accumulates the virtual time of op over iters iterations,

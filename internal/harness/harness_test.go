@@ -26,7 +26,7 @@ func requireOrder(t *testing.T, tbl *Table) {
 }
 
 func TestTable3ReadAheadShape(t *testing.T) {
-	tbl, err := ReadAheadTable()
+	tbl, err := ReadAhead.Table()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestTable3ReadAheadShape(t *testing.T) {
 }
 
 func TestTable4PageEvictionShape(t *testing.T) {
-	tbl, err := PageEvictionTable()
+	tbl, err := PageEviction.Table()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestTable4PageEvictionShape(t *testing.T) {
 }
 
 func TestTable5SchedulingShape(t *testing.T) {
-	tbl, err := SchedulingTable()
+	tbl, err := Scheduling.Table()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestTable5SchedulingShape(t *testing.T) {
 }
 
 func TestTable6EncryptionShape(t *testing.T) {
-	tbl, err := EncryptionTable()
+	tbl, err := Encryption.Table()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,18 +1,9 @@
 package harness
 
 import (
-	"fmt"
-	"time"
-
-	"vino/internal/graft"
 	"vino/internal/sched"
 	"vino/internal/vmm"
 )
-
-// Paper values for Table 4 (Page Eviction Graft Overhead), elapsed us.
-var paperTable4 = map[string]float64{
-	PathBase: 39, PathVINO: 40, PathNull: 130, PathUnsafe: 329, PathSafe: 355, PathAbort: 348,
-}
 
 // evictGraftBody is the §4.2.2 graft: hot pages at heap offset 0
 // (count, then vpns), eviction candidates published by the kernel at
@@ -135,59 +126,45 @@ ih_yes:
     ret
 `
 
-// PageEvictionTable reproduces Table 4: the cost of the two-level page
-// eviction decision when the application's graft overrules the global
-// victim. The workload is the paper's: a 2 MB (512-page) footprint with
-// a few performance-critical pages.
-func PageEvictionTable() (*Table, error) {
-	tbl := &Table{Number: 4, Title: "Page Eviction Graft Overhead (us per eviction decision)"}
-	variants := []struct {
-		path  string
-		graft string
-		safe  bool
-	}{
-		{PathBase, "", false},
-		{PathVINO, "", false},
-		{PathNull, nullGraftSrc, true},
-		{PathUnsafe, evictGraftBody, false},
-		{PathSafe, evictGraftBody, true},
-		{PathAbort, evictGraftAbortBody, true},
-	}
-	for _, v := range variants {
-		us, err := measureEvictionPath(v.path, v.graft, v.safe)
-		if err != nil {
-			return nil, fmt.Errorf("table 4 %s: %w", v.path, err)
-		}
-		tbl.Rows = append(tbl.Rows, Row{Path: v.path, ElapsedUS: us, PaperUS: paperTable4[v.path]})
-	}
-	tbl.Notes = append(tbl.Notes,
+// PageEviction is Table 4: the cost of the two-level page eviction
+// decision when the application's graft overrules the global victim.
+// The workload is the paper's: a 2 MB (512-page) footprint with a few
+// performance-critical pages.
+var PageEviction = &Experiment{
+	Number: 4,
+	Name:   "Page Eviction",
+	// 60 evictions against a 512-page footprint with 64 spare frames:
+	// no re-faulting needed, and the candidate list stays near the
+	// paper's 512 throughout. Each iteration pays an 18 ms re-fault
+	// outside the timed region.
+	Iters:     60,
+	title:     "Page Eviction Graft Overhead (us per eviction decision)",
+	body:      evictGraftBody,
+	abortBody: evictGraftAbortBody,
+	paper: map[string]float64{
+		PathBase: 39, PathVINO: 40, PathNull: 130, PathUnsafe: 329, PathSafe: 355, PathAbort: 348,
+	},
+	paperAbort: [2]float64{38, 50},
+	notes: []string{
 		"workload: 512-page (2 MB) footprint, 3 hot pages; unsafe/safe paths overrule the default victim",
-		"paper's abort path lands below its safe path (results checking and list manipulation are skipped); ours lands slightly above because the default-fallback invocation is part of the measured decision")
-	return tbl, nil
+		"paper's abort path lands below its safe path (results checking and list manipulation are skipped); ours lands slightly above because the default-fallback invocation is part of the measured decision",
+	},
+	fixture: evictionFixture,
 }
 
-func measureEvictionPath(path, graftSrc string, safe bool) (float64, error) {
+func evictionFixture(v variant, drive Driver) error {
 	e := newEnv()
 	const pages = 512
-	v := vmm.New(e.K, pages+64)
-	v.AlwaysConsultPoint = path == PathVINO
+	mm := vmm.New(e.K, pages+64)
+	mm.AlwaysConsultPoint = v.path == PathVINO
 	hot := []int64{0, 1, 2}
-	iters := 60 // each iteration pays an 18 ms re-fault outside the timed region
-	total, err := e.measureOn(func(t *sched.Thread) time.Duration {
-		vas := v.NewVAS(t)
-		var g *graft.Installed
-		point := vas.EvictPoint()
-		if graftSrc != "" {
-			img, err := e.buildVariant(graftSrc, safe)
-			if err != nil {
-				panic(err)
-			}
-			point.KeepOnAbort = true
-			var ierr error
-			g, ierr = e.install(t, point.Name, img, graft.InstallOptions{})
-			if ierr != nil {
-				panic(ierr)
-			}
+	return e.runOn(func(t *sched.Thread) error {
+		vas := mm.NewVAS(t)
+		g, err := e.installVariant(t, vas.EvictPoint(), v)
+		if err != nil {
+			return err
+		}
+		if g != nil {
 			heap := g.VM().Heap()
 			poke64(heap, 0, int64(len(hot)))
 			for i, h := range hot {
@@ -197,24 +174,23 @@ func measureEvictionPath(path, graftSrc string, safe bool) (float64, error) {
 		for i := int64(0); i < pages; i++ {
 			vas.Touch(t, i)
 		}
-		setup := func(i int) {
-			// Force the global victim to be a hot page so the graft
-			// disagrees (the measured case in Table 4). On the abort
-			// path the fallback default evicts the hot page, so
-			// re-fault it first (outside the timed region).
-			h := hot[i%len(hot)]
-			vas.Touch(t, h)
-			v.MakeVictimNext(vas, h)
-		}
-		// 60 evictions against a 512-page footprint with 64 spare frames:
-		// no re-faulting needed, and the candidate list stays near the
-		// paper's 512 throughout.
-		return timed(e.K, iters, setup, func() {
-			v.EvictOne(t)
+		drive(&Fixture{
+			K:     e.K,
+			Graft: g,
+			Setup: func(i int) {
+				// Force the global victim to be a hot page so the graft
+				// disagrees (the measured case in Table 4). On the abort
+				// path the fallback default evicts the hot page, so
+				// re-fault it first (outside the timed region).
+				h := hot[i%len(hot)]
+				vas.Touch(t, h)
+				mm.MakeVictimNext(vas, h)
+			},
+			Op: func() error {
+				mm.EvictOne(t)
+				return nil
+			},
 		})
+		return nil
 	})
-	if err != nil {
-		return 0, err
-	}
-	return usPerOp(total, iters), nil
 }

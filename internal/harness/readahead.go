@@ -1,18 +1,10 @@
 package harness
 
 import (
-	"fmt"
-	"time"
-
 	"vino/internal/fs"
 	"vino/internal/graft"
 	"vino/internal/sched"
 )
-
-// Paper values for Table 3 (Read-ahead Graft Overhead), elapsed us.
-var paperTable3 = map[string]float64{
-	PathBase: 0.5, PathVINO: 1.5, PathNull: 67, PathUnsafe: 104, PathSafe: 107, PathAbort: 108,
-}
 
 // raGraftBody is the §4.1.2 read-ahead graft: read the application's
 // announced next extent from the shared buffer (graft heap: offset 0 =
@@ -50,65 +42,46 @@ main:
     callk fs.prefetch
 ` + trapTail
 
-// ReadAheadTable reproduces Table 3: the cost decomposition of the
-// read-ahead graft, measured per compute-ra decision (3000 random 4 KB
-// reads of a 12 MB file is the enclosing workload; the table isolates
-// the per-read policy cost).
-func ReadAheadTable() (*Table, error) {
-	tbl := &Table{Number: 3, Title: "Read-ahead Graft Overhead (us per compute-ra decision)"}
-	type variant struct {
-		path  string
-		graft string // "" = no graft
-		safe  bool
-	}
-	variants := []variant{
-		{PathBase, "", false},
-		{PathVINO, "", false},
-		{PathNull, nullGraftSrc, true},
-		{PathUnsafe, raGraftBody, false},
-		{PathSafe, raGraftBody, true},
-		{PathAbort, raGraftAbortBody, true},
-	}
-	for _, v := range variants {
-		us, err := measureReadAheadPath(v.path, v.graft, v.safe)
-		if err != nil {
-			return nil, fmt.Errorf("table 3 %s: %w", v.path, err)
-		}
-		tbl.Rows = append(tbl.Rows, Row{Path: v.path, ElapsedUS: us, PaperUS: paperTable3[v.path]})
-	}
-	tbl.Notes = append(tbl.Notes,
+// ReadAhead is Table 3: the cost decomposition of the read-ahead graft,
+// measured per compute-ra decision (3000 random 4 KB reads of a 12 MB
+// file is the enclosing workload; the table isolates the per-read
+// policy cost).
+var ReadAhead = &Experiment{
+	Number:    3,
+	Name:      "Read-Ahead",
+	Iters:     defaultIters,
+	title:     "Read-ahead Graft Overhead (us per compute-ra decision)",
+	body:      raGraftBody,
+	abortBody: raGraftAbortBody,
+	paper: map[string]float64{
+		PathBase: 0.5, PathVINO: 1.5, PathNull: 67, PathUnsafe: 104, PathSafe: 107, PathAbort: 108,
+	},
+	paperAbort: [2]float64{32, 45},
+	notes: []string{
 		"workload: announce-next-read pattern over a 12 MB file, per paper §4.1.3",
-		"lock overhead appears between Null and Unsafe: fs.prefetch takes the shared-buffer lock under the transaction")
-	return tbl, nil
+		"lock overhead appears between Null and Unsafe: fs.prefetch takes the shared-buffer lock under the transaction",
+	},
+	fixture: readAheadFixture,
 }
 
-func measureReadAheadPath(path, graftSrc string, safe bool) (float64, error) {
+func readAheadFixture(v variant, drive Driver) error {
 	e := newEnv()
 	fsys := fs.New(e.K, fs.NewDisk(fs.FujitsuM2694ESA()), 4096)
 	fsys.Create("db", 12<<20, graft.Root, false)
-	iters := defaultIters
-	total, err := e.measureOn(func(t *sched.Thread) time.Duration {
+	return e.runOn(func(t *sched.Thread) error {
 		of, err := fsys.Open(t, "db")
 		if err != nil {
-			panic(err)
+			return err
 		}
 		point := of.RAPoint()
-		var g *graft.Installed
-		if graftSrc != "" {
-			img, err := e.buildVariant(graftSrc, safe)
-			if err != nil {
-				panic(err)
-			}
-			point.KeepOnAbort = true
-			g, err = e.install(t, point.Name, img, graft.InstallOptions{})
-			if err != nil {
-				panic(err)
-			}
+		g, err := e.installVariant(t, point, v)
+		if err != nil {
+			return err
 		}
 		// The application announces a different next extent each
 		// iteration (host-side pokes cost no virtual time).
 		blocks := of.File().Blocks()
-		setup := func(i int) {
+		f := &Fixture{K: e.K, Graft: g, Setup: func(i int) {
 			of.ResetPrefetchQueue()
 			if g != nil {
 				heap := g.VM().Heap()
@@ -116,23 +89,22 @@ func measureReadAheadPath(path, graftSrc string, safe bool) (float64, error) {
 				poke64(heap, 8, fs.BlockSize)
 				poke64(heap, 16, int64(of.FD()))
 			}
-		}
+		}}
 		off, size := int64(0), int64(fs.BlockSize)
-		switch path {
-		case PathBase:
-			return timed(e.K, iters, setup, func() {
+		if v.path == PathBase {
+			f.Op = func() error {
 				of.ComputeRABase(t, off, size)
-			})
-		default:
-			return timed(e.K, iters, setup, func() {
-				_, _ = point.Invoke(t, off, size)
-			})
+				return nil
+			}
+		} else {
+			f.Op = func() error {
+				_, err := point.Invoke(t, off, size)
+				return err
+			}
 		}
+		drive(f)
+		return nil
 	})
-	if err != nil {
-		return 0, err
-	}
-	return usPerOp(total, iters), nil
 }
 
 func poke64(heap []byte, off int, v int64) {

@@ -1,17 +1,11 @@
 package harness
 
 import (
-	"fmt"
 	"time"
 
 	"vino/internal/graft"
 	"vino/internal/kernel"
 )
-
-// Paper values for Table 5 (Scheduling Graft Overhead), elapsed us.
-var paperTable5 = map[string]float64{
-	PathBase: 54, PathVINO: 55, PathNull: 131, PathUnsafe: 203, PathSafe: 208, PathAbort: 211,
-}
 
 // schedGraftBody is the §4.3 example schedule-delegate: lock and scan a
 // 64-entry process list, examine each entry, return own ID.
@@ -63,37 +57,28 @@ done:
     mov r0, r6
 ` + trapTail
 
-// SchedulingTable reproduces Table 5: the base path is two process
-// switches (a yield round trip between two threads); each richer path
-// adds the schedule-delegate machinery run at dispatch.
-func SchedulingTable() (*Table, error) {
-	tbl := &Table{Number: 5, Title: "Scheduling Graft Overhead (us per two-switch round trip)"}
-	variants := []struct {
-		path  string
-		graft string
-		safe  bool
-	}{
-		{PathBase, "", false},
-		{PathVINO, "", false},
-		{PathNull, nullGraftSrc, true},
-		{PathUnsafe, schedGraftBody, false},
-		{PathSafe, schedGraftBody, true},
-		{PathAbort, schedGraftAbortBody, true},
-	}
-	for _, v := range variants {
-		us, err := measureSchedulingPath(v.path, v.graft, v.safe)
-		if err != nil {
-			return nil, fmt.Errorf("table 5 %s: %w", v.path, err)
-		}
-		tbl.Rows = append(tbl.Rows, Row{Path: v.path, ElapsedUS: us, PaperUS: paperTable5[v.path]})
-	}
-	tbl.Notes = append(tbl.Notes,
+// Scheduling is Table 5: the base path is two process switches (a
+// yield round trip between two threads); each richer path adds the
+// schedule-delegate machinery run at dispatch.
+var Scheduling = &Experiment{
+	Number:    5,
+	Name:      "Scheduling",
+	Iters:     defaultIters,
+	title:     "Scheduling Graft Overhead (us per two-switch round trip)",
+	body:      schedGraftBody,
+	abortBody: schedGraftAbortBody,
+	paper: map[string]float64{
+		PathBase: 54, PathVINO: 55, PathNull: 131, PathUnsafe: 203, PathSafe: 208, PathAbort: 211,
+	},
+	paperAbort: [2]float64{33, 45},
+	notes: []string{
 		"base: two context switches at 27 us each, matching the paper's 54 us two-switch base",
-		"unsafe/safe: delegate locks and scans a 64-entry process list, then returns its own ID")
-	return tbl, nil
+		"unsafe/safe: delegate locks and scans a 64-entry process list, then returns its own ID",
+	},
+	fixture: schedulingFixture,
 }
 
-func measureSchedulingPath(path, graftSrc string, safe bool) (float64, error) {
+func schedulingFixture(v variant, drive Driver) error {
 	k := kernel.New(kernel.Config{
 		Timeslice:    time.Hour,
 		SwitchCost:   27 * time.Microsecond, // two per round trip = paper's 54 us base
@@ -107,46 +92,35 @@ func measureSchedulingPath(path, graftSrc string, safe bool) (float64, error) {
 	}
 	k.SetProcessList(ids)
 
-	iters := defaultIters
 	stop := false
 	k.SpawnProcess("peer", graft.Root, func(p *kernel.Process) {
 		for !stop {
 			p.Thread.Yield()
 		}
 	})
-	var total time.Duration
-	var measureErr error
+	var fail error
 	k.SpawnProcess("client", graft.Root, func(p *kernel.Process) {
 		t := p.Thread
 		defer func() { stop = true }()
-		switch path {
+		var g *graft.Installed
+		switch v.path {
 		case PathBase:
 			// No delegate point at all: the pure two-switch round trip.
 		case PathVINO:
 			k.DelegatePoint(t)
 			k.SetDelegationAlwaysConsult(true)
 		default:
-			point := k.DelegatePoint(t)
-			point.KeepOnAbort = true
-			img, err := e.buildVariant(graftSrc, safe)
-			if err != nil {
-				measureErr = err
-				return
-			}
-			if _, err := e.install(t, point.Name, img, graft.InstallOptions{}); err != nil {
-				measureErr = err
+			if g, fail = e.installVariant(t, k.DelegatePoint(t), v); fail != nil {
 				return
 			}
 		}
-		total = timed(k, iters, nil, func() {
+		drive(&Fixture{K: k, Graft: g, Op: func() error {
 			t.Yield() // park; peer runs and yields; we are re-dispatched
-		})
+			return nil
+		}})
 	})
 	if err := k.Run(); err != nil {
-		return 0, err
+		return err
 	}
-	if measureErr != nil {
-		return 0, measureErr
-	}
-	return usPerOp(total, iters), nil
+	return fail
 }

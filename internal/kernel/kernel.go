@@ -30,8 +30,6 @@ import (
 
 // Config parameterises a kernel instance. The zero value is usable.
 type Config struct {
-	// Hz is the simulated CPU frequency (default: the paper's 120 MHz).
-	Hz int64
 	// NumCPUs is the simulated CPU count (default 1, the paper's single
 	// Pentium). With more CPUs the scheduler keeps one run queue and one
 	// virtual-time frontier per CPU; execution stays deterministic.
@@ -49,8 +47,6 @@ type Config struct {
 	// UnsafeGrafts permits Root to install unrewritten images — for the
 	// measurement harness and misbehavior demos only.
 	UnsafeGrafts bool
-	// VMCosts overrides the graft VM cycle model.
-	VMCosts *sfi.Costs
 	// NoTranslate forces every graft onto the interpreting VM engine.
 	// By default verified images are compiled to native Go closures at
 	// install time — observably identical (same traps, same virtual-time
@@ -157,7 +153,7 @@ type Kernel struct {
 
 // New builds a kernel.
 func New(cfg Config) *Kernel {
-	clock := simclock.New(cfg.Hz)
+	clock := simclock.New(simclock.DefaultHz)
 	s := sched.New(clock)
 	if cfg.NumCPUs > 1 {
 		s.SetNumCPUs(cfg.NumCPUs)
@@ -181,7 +177,6 @@ func New(cfg Config) *Kernel {
 	signer := sfi.NewSigner(key)
 	reg := graft.NewRegistry(clock, txns, signer)
 	reg.UnsafeAllowed = cfg.UnsafeGrafts
-	reg.Costs = cfg.VMCosts
 	reg.NoTranslate = cfg.NoTranslate
 	tr := trace.New(cfg.TraceDepth)
 	reg.Trace = tr

@@ -9,9 +9,9 @@ import (
 // Crash checkpoint/restore for the network stack. Connections (with
 // their stream positions), listeners and counters rewind exactly, so a
 // mid-accept crash cannot leak a half-accepted connection past the
-// restore. The state is small — bounded by live connections — so the
-// full copy doubles as the incremental delta, the sanctioned fallback
-// for subsystems whose snapshot is already O(dirty).
+// restore. The state is small — bounded by live connections — so Net is
+// a plain Snapshotter: incremental checkpoints take its full copy every
+// time, which is already O(dirty) next to fs and vmm.
 
 type connSnap struct {
 	conn    *Conn
@@ -53,14 +53,6 @@ func (n *Net) CrashSnapshot() any {
 	}
 	return s
 }
-
-// CrashDelta implements crash.DeltaSnapshotter via the full-copy
-// fallback: live-connection state is tiny next to fs and vmm.
-func (n *Net) CrashDelta(sinceGen uint64) any { return n.CrashSnapshot() }
-
-// CrashMerge implements crash.DeltaSnapshotter: the delta is a full
-// image, so it simply replaces the base.
-func (n *Net) CrashMerge(base, delta any) any { return delta }
 
 // portExport identifies one listener in the durable image.
 type portExport struct {

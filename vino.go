@@ -156,9 +156,9 @@ type (
 
 // The experiment builders, one per paper table.
 var (
-	ReadAheadTable    = harness.ReadAheadTable
-	PageEvictionTable = harness.PageEvictionTable
-	SchedulingTable   = harness.SchedulingTable
-	EncryptionTable   = harness.EncryptionTable
+	ReadAheadTable    = harness.ReadAhead.Table
+	PageEvictionTable = harness.PageEviction.Table
+	SchedulingTable   = harness.Scheduling.Table
+	EncryptionTable   = harness.Encryption.Table
 	GraftAbortTable   = harness.BuildAbortTable
 )
