@@ -20,6 +20,8 @@
 //	vinobench -ablation lock  # Figures 4/5 policy-encapsulation cost
 //	vinobench -ablation sfidensity
 //	vinobench -check          # semantic cross-checks (SFI-rewrite equivalence)
+//	vinobench -table 3 -cpuprofile=cpu.out -memprofile=mem.out
+//	                          # any run, with host CPU and heap profiles
 package main
 
 import (
@@ -31,6 +33,7 @@ import (
 	"vino/internal/campaign"
 	"vino/internal/fleet"
 	"vino/internal/harness"
+	"vino/internal/hostprof"
 )
 
 func main() {
@@ -45,7 +48,14 @@ func main() {
 	runs := flag.Int("runs", 64, "campaign sweep: run budget per point")
 	instances := flag.Int("instances", 4, "fleet sweep: largest instance count (sweeps powers of two up to it)")
 	fleetTenants := flag.Int("tenants", 4, "fleet sweep: largest tenant count (sweeps powers of two up to it)")
+	prof := hostprof.Register(flag.CommandLine)
 	flag.Parse()
+	stop, err := prof.Start()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "vinobench:", err)
+		os.Exit(1)
+	}
+	defer stop()
 
 	smpCounts := func() []int {
 		var out []int
@@ -61,6 +71,7 @@ func main() {
 	ran := false
 	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, "vinobench:", err)
+		stop()
 		os.Exit(1)
 	}
 
@@ -253,6 +264,7 @@ func main() {
 	}
 	if !ran {
 		flag.Usage()
+		stop()
 		os.Exit(2)
 	}
 }

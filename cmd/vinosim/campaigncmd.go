@@ -29,7 +29,7 @@ func cmdCampaign(args []string) int {
 	minNovel := fs.Int("min-novel", 1, "fail unless at least this many distinct signatures are discovered")
 	corpusDir := fs.String("corpus", "", "write minimized reproducers to this directory (one faultfile per signature)")
 	coverageOut := fs.String("coverage", "", "write the byte-stable coverage map to this file ('-' for stdout)")
-	fs.Parse(args)
+	defer parseFlags(fs, args)()
 
 	cfg := vino.CampaignConfig{
 		Seed:       *seed,

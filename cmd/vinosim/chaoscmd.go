@@ -173,7 +173,7 @@ func cmdChaos(args []string) int {
 	fs := flag.NewFlagSet("vinosim chaos", flag.ExitOnError)
 	var c chaosFlags
 	c.register(fs)
-	fs.Parse(args)
+	defer parseFlags(fs, args)()
 	return chaosExit(c.execute())
 }
 
@@ -185,7 +185,7 @@ func cmdCrash(args []string) int {
 	var c chaosFlags
 	c.register(fs)
 	c.registerCrash(fs)
-	fs.Parse(args)
+	defer parseFlags(fs, args)()
 	c.crash = true
 	return chaosExit(c.execute())
 }
@@ -200,7 +200,7 @@ func cmdMinimize(args []string) int {
 	c.registerCrash(fs)
 	out := fs.String("out", "min.faultplan", "write the minimal reproducer faultfile here")
 	withRecovery := fs.Bool("recover", false, "minimize with recovery enabled (needs a run that fails despite recovery)")
-	fs.Parse(args)
+	defer parseFlags(fs, args)()
 	c.crash = true
 	if !*withRecovery {
 		c.norecover = true

@@ -30,7 +30,7 @@ func cmdFleet(args []string) int {
 	crashFlag := fs.Bool("crash", true, "arm seed-derived kernel panics on every instance")
 	dir := fs.String("dir", "", "durable checkpoint-ring root (empty = a temp dir removed on exit)")
 	report := fs.String("report", "", "also write the summary to this file (for CI determinism cmp)")
-	fs.Parse(args)
+	defer parseFlags(fs, args)()
 
 	res, err := vino.RunFleet(vino.FleetConfig{
 		Seed:        *seed,

@@ -19,6 +19,8 @@
 //	                                   # faults, instance replacement, tenant
 //	                                   # escalation, fleet-level audit
 //	vinosim redteam -seed=7            # adversarial SFI escape corpus
+//	vinosim crash -seed=7 -cpuprofile=cpu.out -memprofile=mem.out
+//	                                   # any command, with host profiles
 //
 // Bare `vinosim` runs every scenario, like `vinosim run`. Verified
 // grafts always run on the translated engine and checkpoints are
@@ -28,8 +30,11 @@
 package main
 
 import (
+	"flag"
 	"fmt"
 	"os"
+
+	"vino/internal/hostprof"
 )
 
 func main() {
@@ -62,6 +67,20 @@ func main() {
 	os.Exit(2)
 }
 
+// parseFlags parses a subcommand's flags plus the shared -cpuprofile and
+// -memprofile, starts profiling, and returns the function that ends it:
+// subcommands call `defer parseFlags(fs, args)()`.
+func parseFlags(fs *flag.FlagSet, args []string) (stop func()) {
+	prof := hostprof.Register(fs)
+	fs.Parse(args)
+	stop, err := prof.Start()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", fs.Name(), err)
+		os.Exit(1)
+	}
+	return stop
+}
+
 func usage(w *os.File) {
 	fmt.Fprint(w, `usage: vinosim <command> [flags]
 
@@ -74,6 +93,7 @@ Commands:
   fleet      multi-tenant fleet: tenant isolation, self-healing instances
   redteam    adversarial SFI escape corpus (verify-reject or contain; 0 escapes)
 
-Run 'vinosim <command> -h' for that command's flags.
+Run 'vinosim <command> -h' for that command's flags. Every command
+takes -cpuprofile=file and -memprofile=file for host profiles.
 `)
 }

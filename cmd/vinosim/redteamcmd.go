@@ -21,7 +21,7 @@ func cmdRedTeam(args []string) int {
 	seed := fs.Int64("seed", 7, "sentinel-pattern seed (the case set is seed-independent)")
 	workers := fs.Int("workers", 1, "worker-pool size (wall-clock only; the report is identical at any value)")
 	report := fs.String("report", "", "also write the summary to this file (for CI determinism cmp)")
-	fs.Parse(args)
+	defer parseFlags(fs, args)()
 
 	res := vino.RunRedTeam(vino.RedTeamConfig{Seed: *seed, Workers: *workers, Translate: true})
 	sum := res.Summary()

@@ -40,7 +40,7 @@ func cmdRun(args []string) int {
 	list := fs.Bool("list", false, "list scenarios")
 	name := fs.String("scenario", "", "run one scenario")
 	fs.BoolVar(&showTrace, "trace", false, "dump the kernel flight recorder after each scenario")
-	fs.Parse(args)
+	defer parseFlags(fs, args)()
 	if fs.NArg() > 0 && *name == "" {
 		*name = fs.Arg(0)
 	}

@@ -4,7 +4,8 @@ package sfi
 // oracle for the translated engine. ExecDiff runs one image on both
 // engines under identical configuration and inputs and reports the
 // first observable divergence — result value, trap, register file,
-// memory image, step/cycle accounting, hook flush schedule, or grant
+// memory image, step/cycle accounting, hook flush schedule (the flushed
+// cycles and the step and cycle totals at every hook call), or grant
 // audit counters. The redteam corpus, the fuzzer (FuzzTranslateDiff)
 // and the graft install tests all drive this one comparator.
 
@@ -24,10 +25,14 @@ type engineRun struct {
 	cycles   int64
 	heap     []byte
 	kmem     []byte
-	flushes  []int64
+	flushes  []hookFlush
 	audits   []GrantAudit
 	grants   int
 }
+
+// hookFlush is what the hook observes at one call: the flushed cycles
+// and the VM's step and cycle totals at that instant.
+type hookFlush struct{ pending, steps, total int64 }
 
 func runEngine(img *Image, cfg Config, prep func(*VM) error, entry string, args []int64, translate bool) engineRun {
 	var out engineRun
@@ -35,8 +40,9 @@ func runEngine(img *Image, cfg Config, prep func(*VM) error, entry string, args 
 	c.Translate = translate
 	c.Program = nil
 	userHook := cfg.Hook
+	var vm *VM
 	c.Hook = func(n int64) {
-		out.flushes = append(out.flushes, n)
+		out.flushes = append(out.flushes, hookFlush{n, vm.Steps(), vm.TotalCycles()})
 		if userHook != nil {
 			userHook(n)
 		}
@@ -119,8 +125,8 @@ func ExecDiff(img *Image, cfg Config, prep func(*VM) error, entry string, args .
 		return fmt.Errorf("sfi: diff: hook flush count: interpreter=%d translated=%d", len(oracle.flushes), len(trans.flushes))
 	}
 	for i := range oracle.flushes {
-		if oracle.flushes[i] != trans.flushes[i] {
-			return fmt.Errorf("sfi: diff: hook flush #%d: interpreter=%d translated=%d", i, oracle.flushes[i], trans.flushes[i])
+		if o, t := oracle.flushes[i], trans.flushes[i]; o != t {
+			return fmt.Errorf("sfi: diff: hook flush #%d (pending, steps, total): interpreter=%v translated=%v", i, o, t)
 		}
 	}
 	if len(oracle.audits) != len(trans.audits) {

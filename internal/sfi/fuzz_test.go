@@ -197,9 +197,10 @@ main:
 // templates chosen to stress every translator path: ALU traffic, div and
 // mod (zero divisors included), heap loads/stores at in-range and
 // out-of-range offsets, byte-width accesses, push/pop (balanced and
-// underflowing), wild-pointer stores, forward branches, and kernel
-// calls. Every program ends in ret, so termination is bounded by the
-// branch structure or the cycle cap.
+// underflowing), wild-pointer stores, forward branches, kernel calls,
+// and a self-jmp spin behind a conditional branch (the translator's
+// closed-form fast path). Every program ends in ret, so termination is
+// bounded by the branch structure or the cycle cap.
 func genTranslateFuzzSrc(data []byte) string {
 	if len(data) > 512 { // bound program size: keep per-exec cost flat
 		data = data[:512]
@@ -219,7 +220,7 @@ func genTranslateFuzzSrc(data []byte) string {
 	reg := func() int { return 1 + arg()%7 } // r1..r7: keep r10/r11/sp intact
 	alu := []string{"add", "sub", "mul", "and", "or", "xor", "shl", "shr"}
 	for i < len(data) {
-		switch arg() % 12 {
+		switch arg() % 13 {
 		case 0:
 			fmt.Fprintf(&b, "    movi r%d, %d\n", reg(), arg()-128)
 		case 1:
@@ -248,6 +249,9 @@ func genTranslateFuzzSrc(data []byte) string {
 			fmt.Fprintf(&b, "    jz r%d, end\n", reg())
 		case 11:
 			fmt.Fprintf(&b, "    movi r1, %d\n    movi r2, %d\n    callk test.mix\n", arg()%64, arg()%64)
+		case 12: // spins until the cycle cap unless the register is nonzero
+			r, n := reg(), i // n: a label suffix unique to this template
+			fmt.Fprintf(&b, "    jnz r%d, live%d\nspin%d:\n    jmp spin%d\nlive%d:\n", r, n, n, n, n)
 		}
 	}
 	b.WriteString("end:\n    ret\n")
@@ -267,6 +271,9 @@ func FuzzTranslateDiff(f *testing.F) {
 	f.Add([]byte{5, 255, 1, 9, 2, 2, 8, 4}, uint8(4), uint8(0), uint8(1))
 	f.Add([]byte{3, 0, 0, 0, 10, 1, 11, 9, 9}, uint8(1), uint8(2), uint8(0))
 	f.Add([]byte{7, 1, 8, 2, 5, 3, 6, 4, 0, 5, 2, 6}, uint8(2), uint8(30), uint8(1))
+	// movi r1, 0 then the spin template on r1: spins to the cycle cap.
+	f.Add([]byte{0, 0, 128, 12, 0}, uint8(0), uint8(0), uint8(0))
+	f.Add([]byte{0, 0, 128, 12, 0}, uint8(3), uint8(7), uint8(0))
 	builders := map[uint8]func(string, *Signer) (*Image, RewriteStats, error){
 		1: BuildSafe,
 		2: BuildSafeOptimized,
@@ -290,7 +297,9 @@ func FuzzTranslateDiff(f *testing.F) {
 		if cycles > 0 {
 			cfg.MaxCycles = int64(cycles)*50 + 100 // small caps: fuel-trap parity
 		} else {
-			cfg.MaxCycles = 1 << 20
+			// Far above any straight-line program's cost, small
+			// enough that a spin is cheap on the interpreter.
+			cfg.MaxCycles = 1 << 16
 		}
 		var prep func(*VM) error
 		if grant&1 == 1 && img.Layout != nil {

@@ -220,21 +220,22 @@ func accessWidth(op Op) int64 {
 	return 8
 }
 
-// fastLoad/fastStore perform an access already proven in-arena.
-// Little-endian, exactly the interpreter's byte loops.
-func fastLoad(vm *VM, addr int64, width int64) int64 {
+// fastLoad/fastStore perform an access already proven in-segment, at
+// segment offset off. Little-endian, exactly the interpreter's byte
+// loops.
+func fastLoad(vm *VM, off uint64, width int64) int64 {
 	if width == 1 {
-		return int64(vm.arena[addr])
+		return int64(vm.seg[off])
 	}
-	return int64(binary.LittleEndian.Uint64(vm.arena[addr:]))
+	return int64(binary.LittleEndian.Uint64(vm.seg[off:]))
 }
 
-func fastStore(vm *VM, addr int64, width int64, v int64) {
+func fastStore(vm *VM, off uint64, width int64, v int64) {
 	if width == 1 {
-		vm.arena[addr] = byte(v)
+		vm.seg[off] = byte(v)
 		return
 	}
-	binary.LittleEndian.PutUint64(vm.arena[addr:], uint64(v))
+	binary.LittleEndian.PutUint64(vm.seg[off:], uint64(v))
 }
 
 // fuse recognises the rewriter's certified instruction patterns at pc
@@ -309,7 +310,8 @@ func (p *Program) fuseRegionAccess(pc int, a, b, c Instr) stepFn {
 		if err := vm.tick(vm.costTab[bOp]); err != nil {
 			return 0, err
 		}
-		if !inSpans(spans, addr-int64(vm.segBase), width, segSize) {
+		off := addr - int64(vm.segBase)
+		if !inSpans(spans, off, width, segSize) {
 			if err := vm.regionCheck(chkPC, chkIns); err != nil {
 				return 0, err
 			}
@@ -318,9 +320,9 @@ func (p *Program) fuseRegionAccess(pc int, a, b, c Instr) stepFn {
 			return 0, err
 		}
 		if isStore {
-			fastStore(vm, addr, width, vm.regs[cRs2])
+			fastStore(vm, uint64(off), width, vm.regs[cRs2])
 		} else {
-			vm.regs[cRd] = fastLoad(vm, addr, width)
+			vm.regs[cRd] = fastLoad(vm, uint64(off), width)
 		}
 		return next, nil
 	}
@@ -338,8 +340,8 @@ func (p *Program) fusePopExpansion(pc int, a, b Instr) stepFn {
 		if err := vm.tick(vm.costTab[CHKR]); err != nil {
 			return 0, err
 		}
-		addr := vm.regs[RegSP]
-		if !inSpans(spans, addr-int64(vm.segBase), 8, segSize) {
+		off := vm.regs[RegSP] - int64(vm.segBase)
+		if !inSpans(spans, off, 8, segSize) {
 			if err := vm.regionCheck(chkPC, chkIns); err != nil {
 				return 0, err
 			}
@@ -347,7 +349,7 @@ func (p *Program) fusePopExpansion(pc int, a, b Instr) stepFn {
 		if err := vm.tick(vm.costTab[LD]); err != nil {
 			return 0, err
 		}
-		vm.regs[bRd] = fastLoad(vm, addr, 8)
+		vm.regs[bRd] = fastLoad(vm, uint64(off), 8)
 		if err := vm.tick(vm.costTab[ADDI]); err != nil {
 			return 0, err
 		}
@@ -358,9 +360,9 @@ func (p *Program) fusePopExpansion(pc int, a, b Instr) stepFn {
 
 // fuseSandboxAccess compiles the flat pipeline's certified triple:
 // address formation, sandbox mask, access. The mask confines the
-// address to the segment; only the final bytes of the segment can
-// still overrun the arena, and that tail case takes the interpreter's
-// load/store for the identical memErr.
+// address to the segment; only an 8-byte access in the segment's last
+// 7 bytes can still overrun the arena, and that tail case takes the
+// interpreter's load/store for the identical memErr.
 func (p *Program) fuseSandboxAccess(pc int, a, c Instr) stepFn {
 	aRd, aRs1, aImm := a.Rd, a.Rs1, a.Imm
 	cOp, cRd, cRs2 := c.Op, c.Rd, c.Rs2
@@ -376,12 +378,13 @@ func (p *Program) fuseSandboxAccess(pc int, a, c Instr) stepFn {
 		if err := vm.tick(vm.costTab[SANDBOX]); err != nil {
 			return 0, err
 		}
-		addr := int64(vm.segBase | (uint64(vm.regs[aRd]) & (vm.segSize - 1)))
+		off := uint64(vm.regs[aRd]) & (vm.segSize - 1)
+		addr := int64(vm.segBase | off)
 		vm.regs[aRd] = addr
 		if err := vm.tick(vm.costTab[cOp]); err != nil {
 			return 0, err
 		}
-		if addr+width > int64(len(vm.arena)) {
+		if off+uint64(width) > vm.segSize {
 			// Segment-tail overrun: the interpreter's path reports it.
 			if isStore {
 				return 0, vm.store(accPC, accIns, addr, int(width), vm.regs[cRs2])
@@ -394,9 +397,9 @@ func (p *Program) fuseSandboxAccess(pc int, a, c Instr) stepFn {
 			return next, nil
 		}
 		if isStore {
-			fastStore(vm, addr, width, vm.regs[cRs2])
+			fastStore(vm, off, width, vm.regs[cRs2])
 		} else {
-			vm.regs[cRd] = fastLoad(vm, addr, width)
+			vm.regs[cRd] = fastLoad(vm, off, width)
 		}
 		return next, nil
 	}
@@ -585,6 +588,9 @@ func (p *Program) singleStep(pc int, ins Instr) stepFn {
 		}
 	case JMP:
 		target := int(imm)
+		if target == pc {
+			return spinStep(pc)
+		}
 		return func(vm *VM) (int, error) {
 			if err := vm.tick(vm.costTab[JMP]); err != nil {
 				return 0, err
@@ -620,8 +626,8 @@ func (p *Program) singleStep(pc int, ins Instr) stepFn {
 				return 0, err
 			}
 			addr := vm.regs[rs1] + imm
-			if addr >= 0 && addr+width <= int64(len(vm.arena)) {
-				vm.regs[rd] = fastLoad(vm, addr, width)
+			if off, ok := vm.segOff(addr, int(width)); ok {
+				vm.regs[rd] = fastLoad(vm, off, width)
 				return next, nil
 			}
 			v, err := vm.load(pc, ins, addr, int(width))
@@ -638,11 +644,14 @@ func (p *Program) singleStep(pc int, ins Instr) stepFn {
 				return 0, err
 			}
 			addr := vm.regs[rs1] + imm
-			if addr >= 0 && addr+width <= int64(len(vm.arena)) {
-				fastStore(vm, addr, width, vm.regs[rs2])
+			if off, ok := vm.segOff(addr, int(width)); ok {
+				fastStore(vm, off, width, vm.regs[rs2])
 				return next, nil
 			}
-			return 0, vm.store(pc, ins, addr, int(width), vm.regs[rs2])
+			if err := vm.store(pc, ins, addr, int(width), vm.regs[rs2]); err != nil {
+				return 0, err
+			}
+			return next, nil
 		}
 	case PUSH:
 		return func(vm *VM) (int, error) {
@@ -651,11 +660,14 @@ func (p *Program) singleStep(pc int, ins Instr) stepFn {
 			}
 			vm.regs[RegSP] -= 8
 			addr := vm.regs[RegSP]
-			if addr >= 0 && addr+8 <= int64(len(vm.arena)) {
-				fastStore(vm, addr, 8, vm.regs[rs1])
+			if off, ok := vm.segOff(addr, 8); ok {
+				fastStore(vm, off, 8, vm.regs[rs1])
 				return next, nil
 			}
-			return 0, vm.store(pc, ins, addr, 8, vm.regs[rs1])
+			if err := vm.store(pc, ins, addr, 8, vm.regs[rs1]); err != nil {
+				return 0, err
+			}
+			return next, nil
 		}
 	case POP:
 		return func(vm *VM) (int, error) {
@@ -663,8 +675,8 @@ func (p *Program) singleStep(pc int, ins Instr) stepFn {
 				return 0, err
 			}
 			addr := vm.regs[RegSP]
-			if addr >= 0 && addr+8 <= int64(len(vm.arena)) {
-				vm.regs[rd] = fastLoad(vm, addr, 8)
+			if off, ok := vm.segOff(addr, 8); ok {
+				vm.regs[rd] = fastLoad(vm, off, 8)
 			} else {
 				v, err := vm.load(pc, ins, addr, 8)
 				if err != nil {
@@ -783,5 +795,40 @@ func (p *Program) singleStep(pc int, ins Instr) stepFn {
 			}
 			return 0, &Violation{PC: pc, Ins: insStr, Detail: "illegal opcode"}
 		}
+	}
+}
+
+// spinStep compiles a self-jump (`spin: jmp spin`), the shape of a graft
+// spinning until the watchdog or a lock time-out aborts it. A self-jump
+// reads and writes no state, so running it k times only adds k to steps
+// and k*c to pending and total (c = the JMP cost). The closure does that
+// in closed form for all but the last of the k iterations that reach the
+// next event — the hook flush or the fuel trap, whichever comes first —
+// and runs the k-th through tick. The flush, a hook's abort panic and
+// ErrCycleLimit therefore happen with exactly the steps/total/pending
+// per-step execution would have. It returns to Program.run after every
+// event, so k is recomputed after every hook.
+func spinStep(pc int) stepFn {
+	return func(vm *VM) (int, error) {
+		c := vm.costTab[JMP]
+		if c > 0 {
+			// Ticks until pending reaches hookEvr (the flush) ...
+			k := (vm.hookEvr - vm.pending + c - 1) / c
+			// ... or total first exceeds maxCyc (the fuel trap).
+			if vm.maxCyc > 0 {
+				if f := (vm.maxCyc-vm.total)/c + 1; f < k {
+					k = f
+				}
+			}
+			if k > 1 {
+				vm.steps += k - 1
+				vm.pending += (k - 1) * c
+				vm.total += (k - 1) * c
+			}
+		}
+		if err := vm.tick(vm.costTab[JMP]); err != nil {
+			return 0, err
+		}
+		return pc, nil
 	}
 }

@@ -2,6 +2,7 @@ package sfi
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -383,5 +384,160 @@ func TestTranslateHookFlushSchedule(t *testing.T) {
 	}
 	if len(oracle) < 10 {
 		t.Fatalf("only %d flushes; workload too small to trust", len(oracle))
+	}
+}
+
+// TestTranslateSpinFastForward pins the self-jump fast path (spinStep)
+// to the interpreter: whatever the JMP cost, hook period, fuel limit or
+// pending cycles on entry, both engines stop on the same instruction
+// with the same steps and cycle totals, and every hook call sees the
+// same pending/steps/total.
+func TestTranslateSpinFastForward(t *testing.T) {
+	srcs := []struct {
+		name   string
+		src    string
+		steps  int64 // instructions before the spin
+		cycles int64 // their cost under Costs{Default: 1}
+	}{
+		{"bare", ".name spin\n.func main\nmain:\n jmp main\n", 0, 0},
+		// Enters the spin with 2 or 6 cycles pending whenever the hook
+		// period is above that.
+		{"prologue", ".name spin\n.func main\nmain:\n movi r1, 1\n movi r2, 2\nspin:\n jmp spin\n", 2, 2},
+	}
+	costs := []struct {
+		name string
+		c    int64
+	}{{"jmp1", 1}, {"jmp3", 3}}
+	type spinRun struct {
+		steps, total int64
+		flushes      []hookFlush
+		err          error
+		recovered    any
+	}
+	run := func(t *testing.T, img *Image, cfg Config, translate bool, panicAt int) (out spinRun) {
+		t.Helper()
+		cfg.Translate = translate
+		var vm *VM
+		cfg.Hook = func(n int64) {
+			out.flushes = append(out.flushes, hookFlush{n, vm.Steps(), vm.TotalCycles()})
+			if len(out.flushes) == panicAt {
+				panic("abort")
+			}
+		}
+		vm, err := NewVM(img, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		func() {
+			defer func() { out.recovered = recover() }()
+			_, out.err = vm.Call("main")
+		}()
+		out.steps, out.total = vm.Steps(), vm.TotalCycles()
+		return out
+	}
+	same := func(t *testing.T, a, b spinRun) {
+		t.Helper()
+		if a.steps != b.steps || a.total != b.total || errStr(a.err) != errStr(b.err) || a.recovered != b.recovered {
+			t.Fatalf("interpreter steps=%d total=%d err=%v panic=%v; translated steps=%d total=%d err=%v panic=%v",
+				a.steps, a.total, a.err, a.recovered, b.steps, b.total, b.err, b.recovered)
+		}
+		if len(a.flushes) != len(b.flushes) {
+			t.Fatalf("hook calls: interpreter=%d translated=%d", len(a.flushes), len(b.flushes))
+		}
+		for i := range a.flushes {
+			if a.flushes[i] != b.flushes[i] {
+				t.Fatalf("hook call #%d (pending, steps, total): interpreter=%v translated=%v", i, a.flushes[i], b.flushes[i])
+			}
+		}
+	}
+	for _, s := range srcs {
+		img, err := BuildUnsafe(s.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range costs {
+			cost := &Costs{Default: c.c}
+			pro := s.cycles * c.c
+			for _, every := range []int64{1, 7, 2000} {
+				for _, past := range []int64{0, 1} {
+					name := fmt.Sprintf("%s/%s/every%d/fuel+%d", s.name, c.name, every, past)
+					t.Run(name, func(t *testing.T) {
+						limit := pro + 1000*c.c + past
+						cfg := Config{Costs: cost, HookEvery: every, MaxCycles: limit}
+						if err := ExecDiff(img, cfg, nil, "main"); err != nil {
+							t.Fatal(err)
+						}
+						interp, trans := run(t, img, cfg, false, 0), run(t, img, cfg, true, 0)
+						same(t, interp, trans)
+						// The fuel trap fires on the first iteration that
+						// takes total past the limit.
+						iters := (limit-pro)/c.c + 1
+						if !errors.Is(trans.err, ErrCycleLimit) || trans.steps != s.steps+iters || trans.total != pro+iters*c.c {
+							t.Fatalf("translated stopped at steps=%d total=%d err=%v, want steps=%d total=%d and the fuel trap",
+								trans.steps, trans.total, trans.err, s.steps+iters, pro+iters*c.c)
+						}
+					})
+				}
+				t.Run(fmt.Sprintf("%s/%s/every%d/hook-panics-5th", s.name, c.name, every), func(t *testing.T) {
+					cfg := Config{Costs: cost, HookEvery: every}
+					interp, trans := run(t, img, cfg, false, 5), run(t, img, cfg, true, 5)
+					same(t, interp, trans)
+					if trans.recovered != "abort" || len(trans.flushes) != 5 {
+						t.Fatalf("translated: panic=%v after %d hook calls, want the 5th call's abort", trans.recovered, len(trans.flushes))
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestTranslateKernelMemoryParity: an unprotected graft's accesses below
+// its segment — stores, a store straddling into the segment, push and
+// pop — land in kernel memory on both engines, and execution goes on
+// past them.
+func TestTranslateKernelMemoryParity(t *testing.T) {
+	img, err := BuildUnsafe(`
+.name stomp
+.func main
+main:
+    movi r2, 0x1122334455667788
+    movi r1, 0
+    st [r1+0], r2
+    stb [r1+9], r2
+    ld r3, [r1+0]
+    movi r1, 65532
+    st [r1+0], r2
+    ld r4, [r1+0]
+    ldb r5, [r1+2]
+    movi sp, 40
+    push r2
+    pop r6
+    add r0, r3, r4
+    add r0, r0, r5
+    add r0, r0, r6
+    ret
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{MaxCycles: 10_000} // a step that lost its place loops
+	if err := ExecDiff(img, cfg, nil, "main"); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Translate = true
+	vm, err := NewVM(img, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := vm.Call("main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const v = 0x1122334455667788
+	if want := int64(v + v + 0x66 + v); got != want {
+		t.Fatalf("result %#x, want %#x", got, want)
+	}
+	if km := vm.KernelMemory(); km[0] != 0x88 || km[9] != 0x88 || km[65535] != 0x55 || vm.Heap()[0] != 0x44 {
+		t.Fatalf("kernel memory/segment bytes wrong: km[0]=%#x km[9]=%#x km[65535]=%#x heap[0]=%#x", km[0], km[9], km[65535], vm.Heap()[0])
 	}
 }

@@ -68,6 +68,9 @@ type Config struct {
 	// KernelMem is the size in bytes of the simulated kernel memory that
 	// sits below the graft segment in the arena. Unprotected grafts can
 	// scribble on it; SFI-rewritten grafts cannot reach it. Default 64 KiB.
+	// It is allocated on first touch (a write, or a KernelMemory call)
+	// and reads as zeros until then, so a VM whose graft stays in its
+	// segment never pays for it.
 	KernelMem int
 	// SegSize is the graft segment (heap+stack) size; must be a power of
 	// two. Default 64 KiB.
@@ -100,21 +103,27 @@ type Config struct {
 
 // VM executes one graft image inside a private sandbox.
 type VM struct {
-	img     *Image
-	arena   []byte
-	segBase uint64
-	segSize uint64
-	regs    [NumRegs]int64
-	shadow  []int
-	costs   Costs
-	hook    func(int64)
-	hookEvr int64
-	pending int64
-	total   int64
-	steps   int64
-	maxCyc  int64
-	kernel  []KernelFunc
-	table   *CallTable
+	img *Image
+	// The arena is the address range [0, arenaLen): simulated kernel
+	// memory [0, segBase) below the graft segment [segBase, arenaLen).
+	// seg is allocated with the VM; kmem stays nil (all zeros) until
+	// first touched, see KernelMemory.
+	seg      []byte
+	kmem     []byte
+	arenaLen int64
+	segBase  uint64
+	segSize  uint64
+	regs     [NumRegs]int64
+	shadow   []int
+	costs    Costs
+	hook     func(int64)
+	hookEvr  int64
+	pending  int64
+	total    int64
+	steps    int64
+	maxCyc   int64
+	kernel   []KernelFunc
+	table    *CallTable
 	// Compartment state (nil layout = classic flat sandbox).
 	layout    *Layout
 	grants    []grantWindow
@@ -142,8 +151,9 @@ type grantWindow struct {
 }
 
 // NewVM prepares a VM for the image. The image's initial data is copied
-// to the bottom of the segment; kernel memory below the segment is
-// zeroed (the kernel may seed it via KernelMemory for experiments).
+// to the bottom of the segment; kernel memory below the segment reads
+// as zeros and is allocated on first touch (the kernel may seed it via
+// KernelMemory for experiments).
 func NewVM(img *Image, cfg Config) (*VM, error) {
 	if img.Layout != nil {
 		// The layout's static-discharge proofs are against its exact
@@ -184,21 +194,22 @@ func NewVM(img *Image, cfg Config) (*VM, error) {
 	// requires the base to be segment-aligned.
 	segBase := (uint64(cfg.KernelMem) + uint64(cfg.SegSize) - 1) &^ (uint64(cfg.SegSize) - 1)
 	vm := &VM{
-		img:     img,
-		arena:   make([]byte, segBase+uint64(cfg.SegSize)),
-		segBase: segBase,
-		segSize: uint64(cfg.SegSize),
-		costs:   DefaultCosts(),
-		hook:    cfg.Hook,
-		hookEvr: cfg.HookEvery,
-		maxCyc:  cfg.MaxCycles,
-		table:   NewCallTable(img.CallTargets),
-		layout:  img.Layout,
+		img:      img,
+		seg:      make([]byte, cfg.SegSize),
+		arenaLen: int64(segBase) + int64(cfg.SegSize),
+		segBase:  segBase,
+		segSize:  uint64(cfg.SegSize),
+		costs:    DefaultCosts(),
+		hook:     cfg.Hook,
+		hookEvr:  cfg.HookEvery,
+		maxCyc:   cfg.MaxCycles,
+		table:    NewCallTable(img.CallTargets),
+		layout:   img.Layout,
 	}
 	if cfg.Costs != nil {
 		vm.costs = *cfg.Costs
 	}
-	copy(vm.arena[segBase:], img.Data)
+	copy(vm.seg, img.Data)
 	vm.kernel = make([]KernelFunc, len(img.Symbols))
 	for i, sym := range img.Symbols {
 		fn, ok := cfg.Kernel[sym]
@@ -237,12 +248,19 @@ func (vm *VM) HeapSize() uint64 { return vm.segSize }
 
 // Heap exposes the graft's segment for the kernel to seed inputs and
 // read results (the simulated shared buffer of §4.1.2).
-func (vm *VM) Heap() []byte { return vm.arena[vm.segBase:] }
+func (vm *VM) Heap() []byte { return vm.seg }
 
 // KernelMemory exposes the simulated kernel memory below the segment.
 // Experiments seed it with sentinel bytes to detect stray writes from
-// unprotected grafts.
-func (vm *VM) KernelMemory() []byte { return vm.arena[:vm.segBase] }
+// unprotected grafts. The first call allocates it (zeroed); a VM whose
+// graft never writes below its segment and whose kernel never asks
+// never allocates it at all.
+func (vm *VM) KernelMemory() []byte {
+	if vm.kmem == nil {
+		vm.kmem = make([]byte, vm.segBase)
+	}
+	return vm.kmem
+}
 
 // TotalCycles returns the cycles consumed so far.
 func (vm *VM) TotalCycles() int64 { return vm.total }
@@ -338,30 +356,64 @@ func (vm *VM) Translated() bool { return vm.prog != nil }
 func (vm *VM) TranslatedProgram() *Program { return vm.prog }
 
 func (vm *VM) memErr(pc int, ins Instr, addr int64, n int) error {
-	detail := fmt.Sprintf("access of %d bytes at address %d outside arena [0,%d)", n, addr, len(vm.arena))
+	detail := fmt.Sprintf("access of %d bytes at address %d outside arena [0,%d)", n, addr, vm.arenaLen)
 	if vm.img.Safe {
 		return &Violation{PC: pc, Ins: ins.String(), Detail: detail}
 	}
 	return &CrashError{PC: pc, Ins: ins.String(), Detail: detail}
 }
 
+// segOff returns addr's offset into the segment and whether the whole
+// n-byte access lies inside it: one compare, since an address below
+// segBase wraps to a huge offset.
+func (vm *VM) segOff(addr int64, n int) (uint64, bool) {
+	off := uint64(addr) - vm.segBase
+	return off, off <= vm.segSize-uint64(n)
+}
+
 func (vm *VM) load(pc int, ins Instr, addr int64, n int) (int64, error) {
-	if addr < 0 || addr+int64(n) > int64(len(vm.arena)) {
+	var v int64
+	if off, ok := vm.segOff(addr, n); ok {
+		for i := n - 1; i >= 0; i-- {
+			v = v<<8 | int64(vm.seg[off+uint64(i)])
+		}
+		return v, nil
+	}
+	if addr < 0 || addr > vm.arenaLen-int64(n) {
 		return 0, vm.memErr(pc, ins, addr, n)
 	}
-	var v int64
+	// Kernel memory, possibly straddling into the segment. Untouched
+	// kernel memory reads as zeros.
 	for i := n - 1; i >= 0; i-- {
-		v = v<<8 | int64(vm.arena[addr+int64(i)])
+		a := uint64(addr) + uint64(i)
+		var b byte
+		if a >= vm.segBase {
+			b = vm.seg[a-vm.segBase]
+		} else if vm.kmem != nil {
+			b = vm.kmem[a]
+		}
+		v = v<<8 | int64(b)
 	}
 	return v, nil
 }
 
 func (vm *VM) store(pc int, ins Instr, addr int64, n int, v int64) error {
-	if addr < 0 || addr+int64(n) > int64(len(vm.arena)) {
+	if off, ok := vm.segOff(addr, n); ok {
+		for i := 0; i < n; i++ {
+			vm.seg[off+uint64(i)] = byte(uint64(v) >> (8 * i))
+		}
+		return nil
+	}
+	if addr < 0 || addr > vm.arenaLen-int64(n) {
 		return vm.memErr(pc, ins, addr, n)
 	}
 	for i := 0; i < n; i++ {
-		vm.arena[addr+int64(i)] = byte(uint64(v) >> (8 * i))
+		a, b := uint64(addr)+uint64(i), byte(uint64(v)>>(8*i))
+		if a >= vm.segBase {
+			vm.seg[a-vm.segBase] = b
+		} else {
+			vm.KernelMemory()[a] = b
+		}
 	}
 	return nil
 }
@@ -684,7 +736,7 @@ func (vm *VM) SeedRegion(kind RegionKind, data []byte) (int64, error) {
 	if int64(len(data)) > r.Size {
 		return 0, fmt.Errorf("sfi: %d bytes exceed %s region (%d)", len(data), kind, r.Size)
 	}
-	copy(vm.arena[vm.segBase+uint64(r.Off):], data)
+	copy(vm.seg[r.Off:], data)
 	return int64(vm.segBase) + r.Off, nil
 }
 

@@ -321,6 +321,54 @@ main:
 	}
 }
 
+// TestVMKernelMemoryAllocatedOnFirstTouch: kernel memory costs nothing
+// until a graft writes below its segment or the kernel asks for it, and
+// reads as zeros before that — on both engines.
+func TestVMKernelMemoryAllocatedOnFirstTouch(t *testing.T) {
+	img := mustAssemble(t, `
+.name peek
+.func main
+main:
+    movi r1, 128
+    ld r0, [r1+0]
+    st [r10+0], r1
+    ret
+.func poke
+poke:
+    movi r1, 128
+    st [r1+0], r1
+    ret
+`)
+	for _, translate := range []bool{false, true} {
+		vm, err := NewVM(img, Config{Translate: translate})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, err := vm.Call("main"); err != nil || v != 0 {
+			t.Fatalf("translate=%v: read of untouched kernel memory = %d, %v; want 0", translate, v, err)
+		}
+		if vm.kmem != nil {
+			t.Fatalf("translate=%v: a read and an in-segment write allocated kernel memory", translate)
+		}
+		if _, err := vm.Call("poke"); err != nil {
+			t.Fatal(err)
+		}
+		if vm.kmem == nil || vm.KernelMemory()[128] != 128 {
+			t.Fatalf("translate=%v: the first kernel-memory write did not land", translate)
+		}
+		if v, err := vm.Call("main"); err != nil || v != 128 {
+			t.Fatalf("translate=%v: read back %d, %v; want 128", translate, v, err)
+		}
+	}
+	vm, err := NewVM(img, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if km := vm.KernelMemory(); len(km) != int(vm.HeapBase()) || vm.kmem == nil {
+		t.Fatalf("KernelMemory() = %d bytes, want the %d below the segment, allocated", len(km), vm.HeapBase())
+	}
+}
+
 // TestVMUnsafeWildPointerCrashesKernel: an out-of-arena access in an
 // unprotected graft is the simulated machine check.
 func TestVMUnsafeWildPointerCrashesKernel(t *testing.T) {
