@@ -128,9 +128,9 @@ func WithCheckpoints(every time.Duration) Option {
 // WithCheckpointRing keeps a ring of the n most recent checkpoints
 // instead of only the latest (default 1). Recovery from a panic whose
 // corruption predates the newest checkpoint (KernelPanic.TaintedAt)
-// rolls back to the newest checkpoint taken before the taint; ring
-// eviction folds the oldest delta into the base, so memory stays
-// bounded by n plus the delta chain.
+// rolls back to the newest checkpoint taken before the taint. Each
+// entry is a full image sharing unchanged state with its neighbours,
+// and the oldest is dropped when the ring is full.
 func WithCheckpointRing(n int) Option {
 	return func(c *Config) { c.CheckpointRing = n }
 }

@@ -1,6 +1,7 @@
 package crash
 
 import (
+	"maps"
 	"strings"
 	"testing"
 	"time"
@@ -67,9 +68,9 @@ type fakeSub struct {
 	val  int
 }
 
-func (f *fakeSub) CrashName() string     { return f.name }
-func (f *fakeSub) CrashSnapshot() any    { v := f.val; return &v }
-func (f *fakeSub) CrashRestore(snap any) { f.val = *(snap.(*int)) }
+func (f *fakeSub) CrashName() string             { return f.name }
+func (f *fakeSub) CrashSnapshot(any, uint64) any { v := f.val; return &v }
+func (f *fakeSub) CrashRestore(snap any)         { f.val = *(snap.(*int)) }
 
 func TestManagerCheckpointRestore(t *testing.T) {
 	clock := simclock.New(0)
@@ -136,90 +137,76 @@ func TestManagerCadence(t *testing.T) {
 	}
 }
 
-// deltaSub is a DeltaSnapshotter over a keyed int store with per-key
-// generation stamps, counting full vs delta captures.
-type deltaSub struct {
+// stampSub is a Snapshotter over a keyed int store with per-key
+// generation stamps, counting full and shared captures. A shared
+// capture clones prev and copies only the keys stamped since; with no
+// stamped key it returns prev itself (counted in reused).
+type stampSub struct {
 	name   string
 	gen    func() uint64
 	vals   map[int]int
 	stamp  map[int]uint64
 	fulls  int
-	deltas int
+	shared int
+	reused int
 }
 
-func newDeltaSub(name string, gen func() uint64) *deltaSub {
-	return &deltaSub{name: name, gen: gen, vals: map[int]int{}, stamp: map[int]uint64{}}
+func newStampSub(name string, gen func() uint64) *stampSub {
+	return &stampSub{name: name, gen: gen, vals: map[int]int{}, stamp: map[int]uint64{}}
 }
 
-func (f *deltaSub) set(k, v int) {
+func (f *stampSub) set(k, v int) {
 	f.vals[k] = v
 	f.stamp[k] = f.gen()
 }
 
-func (f *deltaSub) CrashName() string { return f.name }
+func (f *stampSub) CrashName() string { return f.name }
 
-func (f *deltaSub) CrashSnapshot() any {
-	f.fulls++
-	s := make(map[int]int, len(f.vals))
+func (f *stampSub) CrashSnapshot(prev any, since uint64) any {
+	if prev == nil {
+		f.fulls++
+		return maps.Clone(f.vals)
+	}
+	f.shared++
+	var s map[int]int
 	for k, v := range f.vals {
-		s[k] = v
+		if f.stamp[k] > since {
+			if s == nil {
+				s = maps.Clone(prev.(map[int]int))
+			}
+			s[k] = v
+		}
+	}
+	if s == nil {
+		f.reused++
+		return prev
 	}
 	return s
 }
 
-func (f *deltaSub) CrashDelta(since uint64) any {
-	f.deltas++
-	d := make(map[int]int)
-	for k, v := range f.vals {
-		if f.stamp[k] > since {
-			d[k] = v
-		}
-	}
-	if len(d) == 0 {
-		return nil
-	}
-	return d
-}
-
-func (f *deltaSub) CrashMerge(base, delta any) any {
-	d := delta.(map[int]int)
-	if base == nil {
-		return d
-	}
-	b := base.(map[int]int)
-	for k, v := range d {
-		b[k] = v
-	}
-	return b
-}
-
-func (f *deltaSub) CrashRestore(snap any) {
-	s := snap.(map[int]int)
-	f.vals = make(map[int]int, len(s))
-	for k, v := range s {
-		f.vals[k] = v
-	}
+func (f *stampSub) CrashRestore(snap any) {
+	f.vals = maps.Clone(snap.(map[int]int))
 	f.stamp = map[int]uint64{}
 }
 
 func TestIncrementalDeltaCapture(t *testing.T) {
 	clock := simclock.New(0)
 	m := NewManager(clock, nil, time.Millisecond)
-	f := newDeltaSub("d", m.Gen)
+	f := newStampSub("d", m.Gen)
 	m.Register(f)
 
 	f.set(1, 10)
 	f.set(2, 20)
-	m.TakeCheckpoint() // base: full capture
-	if f.fulls != 1 || f.deltas != 0 {
-		t.Fatalf("base capture: fulls=%d deltas=%d", f.fulls, f.deltas)
+	m.TakeCheckpoint() // first capture: full copy
+	if f.fulls != 1 || f.shared != 0 {
+		t.Fatalf("first capture: fulls=%d shared=%d", f.fulls, f.shared)
 	}
 
 	f.set(2, 22)
 	clock.Advance(time.Millisecond)
-	m.TakeCheckpoint() // delta capture: only key 2
-	if f.deltas != 1 {
-		t.Fatalf("delta capture: deltas=%d", f.deltas)
+	m.TakeCheckpoint() // shared capture: only key 2 copied
+	if f.fulls != 1 || f.shared != 1 {
+		t.Fatalf("second capture: fulls=%d shared=%d", f.fulls, f.shared)
 	}
 
 	// Mutate past the checkpoint, restore, and check both keys.
@@ -232,15 +219,14 @@ func TestIncrementalDeltaCapture(t *testing.T) {
 		t.Fatalf("restored vals = %v", f.vals)
 	}
 
-	// Restore again from the same consolidated entry: not consumed.
+	// Restore again from the same entry: not consumed.
 	f.set(1, 77)
 	m.Restore()
 	if f.vals[1] != 10 || f.vals[2] != 22 {
 		t.Fatalf("second restore gave %v", f.vals)
 	}
 
-	// Post-restore writes chain incrementally onto the consolidated
-	// base: a nil delta for an untouched sub keeps the base image.
+	// Post-restore writes are captured on top of the restored image.
 	f.set(3, 33)
 	clock.Advance(time.Millisecond)
 	m.TakeCheckpoint()
@@ -253,19 +239,22 @@ func TestIncrementalDeltaCapture(t *testing.T) {
 func TestNilDeltaKeepsPredecessorImage(t *testing.T) {
 	clock := simclock.New(0)
 	m := NewManager(clock, nil, time.Millisecond)
-	f := newDeltaSub("d", m.Gen)
+	f := newStampSub("d", m.Gen)
 	m.Register(f)
 
 	f.set(1, 1)
 	m.TakeCheckpoint()
 	clock.Advance(time.Millisecond)
-	m.TakeCheckpoint() // nothing changed: delta is nil
+	m.TakeCheckpoint() // nothing changed: the image is reused whole
+	if f.reused != 1 {
+		t.Fatalf("quiet capture reused prev %d times, want 1", f.reused)
+	}
 	f.set(1, 5)
 	if at, _ := m.Restore(); at != time.Millisecond {
 		t.Fatalf("restored at %v", at)
 	}
 	if f.vals[1] != 1 {
-		t.Fatalf("nil-delta restore gave %v", f.vals)
+		t.Fatalf("restore of a reused image gave %v", f.vals)
 	}
 }
 
@@ -273,7 +262,7 @@ func TestRingRotationAndConsolidation(t *testing.T) {
 	clock := simclock.New(0)
 	m := NewManager(clock, nil, time.Millisecond)
 	m.SetRing(3)
-	f := newDeltaSub("d", m.Gen)
+	f := newStampSub("d", m.Gen)
 	m.Register(f)
 
 	for i := 1; i <= 5; i++ {
@@ -284,11 +273,8 @@ func TestRingRotationAndConsolidation(t *testing.T) {
 	if m.Checkpoints() != 3 {
 		t.Fatalf("ring holds %d entries, want 3", m.Checkpoints())
 	}
-	if m.Stats().Consolidations == 0 {
-		t.Fatal("ring eviction did not consolidate")
-	}
-	// The oldest surviving entry (t=2ms, keys 1..3) must have absorbed
-	// the evicted bases.
+	// The oldest surviving entry (t=2ms, keys 1..3) is complete on its
+	// own although every older entry it shares state with was dropped.
 	if at, ok := m.RestoreBefore(2500 * time.Microsecond); !ok || at != 2*time.Millisecond {
 		t.Fatalf("RestoreBefore = %v, %v", at, ok)
 	}
@@ -305,7 +291,7 @@ func TestRestoreBeforeFallsBackToOldest(t *testing.T) {
 	clock := simclock.New(0)
 	m := NewManager(clock, nil, time.Millisecond)
 	m.SetRing(2)
-	f := newDeltaSub("d", m.Gen)
+	f := newStampSub("d", m.Gen)
 	m.Register(f)
 	clock.Advance(time.Millisecond)
 	f.set(1, 1)
@@ -322,28 +308,6 @@ func TestRestoreBeforeFallsBackToOldest(t *testing.T) {
 	}
 }
 
-func TestChainThresholdConsolidates(t *testing.T) {
-	clock := simclock.New(0)
-	m := NewManager(clock, nil, time.Millisecond)
-	m.SetRing(100)
-	m.SetMaxChain(2)
-	f := newDeltaSub("d", m.Gen)
-	m.Register(f)
-	for i := 0; i < 6; i++ {
-		f.set(i, i)
-		m.TakeCheckpoint()
-		clock.Advance(time.Millisecond)
-	}
-	// Ring is bounded by maxChain+1, not the large ring setting.
-	if m.Checkpoints() != 3 {
-		t.Fatalf("ring holds %d entries, want 3", m.Checkpoints())
-	}
-	m.Restore()
-	if len(f.vals) != 6 {
-		t.Fatalf("restored vals = %v", f.vals)
-	}
-}
-
 // TestFullIncrementalEquivalence runs the same mutation script under
 // full-copy and incremental capture and demands identical restores.
 func TestFullIncrementalEquivalence(t *testing.T) {
@@ -352,7 +316,7 @@ func TestFullIncrementalEquivalence(t *testing.T) {
 		m := NewManager(clock, nil, time.Millisecond)
 		m.SetIncremental(incremental)
 		m.SetRing(3)
-		f := newDeltaSub("d", m.Gen)
+		f := newStampSub("d", m.Gen)
 		m.Register(f)
 		for i := 0; i < 10; i++ {
 			f.set(i%4, i*100)
@@ -377,22 +341,23 @@ func TestFullIncrementalEquivalence(t *testing.T) {
 }
 
 // TestLateRegistrationFallsBackToFull covers a subsystem registered
-// after checkpoints already exist: the next capture must be full.
+// after checkpoints already exist: its next capture must be full, while
+// subsystems with an image in the predecessor still share it.
 func TestLateRegistrationFallsBackToFull(t *testing.T) {
 	clock := simclock.New(0)
 	m := NewManager(clock, nil, time.Millisecond)
-	a := newDeltaSub("a", m.Gen)
+	a := newStampSub("a", m.Gen)
 	m.Register(a)
 	a.set(1, 1)
 	m.TakeCheckpoint()
 
-	b := newDeltaSub("b", m.Gen)
+	b := newStampSub("b", m.Gen)
 	m.Register(b)
 	b.set(7, 70)
 	clock.Advance(time.Millisecond)
 	m.TakeCheckpoint()
-	if a.deltas != 0 {
-		t.Fatalf("post-registration capture used deltas (%d)", a.deltas)
+	if a.shared != 1 || b.fulls != 1 || b.shared != 0 {
+		t.Fatalf("post-registration capture: a shared %d, b fulls %d shared %d", a.shared, b.fulls, b.shared)
 	}
 	a.set(1, 9)
 	b.set(7, 99)

@@ -54,10 +54,12 @@ type diskManifest struct {
 
 // SetPersistDir enables durable checkpoints under dir (created if
 // missing). Persistence failures do not disturb the in-memory ring;
-// the last error is retained for PersistErr.
+// the last error, including a directory that cannot be created, is
+// retained for PersistErr.
 func (m *Manager) SetPersistDir(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
+		m.persistErr = fmt.Errorf("crash: checkpoint dir: %w", err)
+		return m.persistErr
 	}
 	m.persistDir = dir
 	return nil

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -16,10 +17,20 @@ import (
 // read-ahead machinery come back empty, as after a reboot. Files
 // created and descriptors opened after the checkpoint vanish; their
 // stale handles fail closed.
+//
+// Images share state with their predecessor: a file with no write
+// since the previous capture reuses that capture's fileSnap outright,
+// and a written file clones the predecessor's block table and copies
+// only the blocks stamped since. Block slices in an image are never
+// written, so sharing them is safe.
 
+// fileSnap is one file's image. blocks is indexed by block number, nil
+// for pristine blocks: a dense table clones with one copy, where a map
+// of the dirty blocks would be rebuilt entry by entry. Writes keep
+// every dirty block inside the file, and CrashImport rejects any other.
 type fileSnap struct {
-	file  *File
-	dirty map[int64][]byte
+	file   *File
+	blocks [][]byte
 }
 
 type ofSnap struct {
@@ -42,6 +53,9 @@ type fsSnap struct {
 	nextFD  int
 	nextLBA int64
 	stats   Stats
+	// copied is the block payload this capture copied rather than
+	// shared with its predecessor (see SnapshotBytes).
+	copied int64
 }
 
 func copyDirty(m map[int64][]byte) map[int64][]byte {
@@ -52,25 +66,11 @@ func copyDirty(m map[int64][]byte) map[int64][]byte {
 	return out
 }
 
-// fsDelta is the incremental capture: files created or written since a
-// generation (with only their freshly dirtied blocks), plus the small
-// volatile scalars — directory set, descriptor table, counters — which
-// mutate on nearly every operation and are cheaper to copy than to
-// track per-field.
-type fsDelta struct {
-	files   map[string]*fileSnap
-	dirs    map[string]bool
-	fds     map[int]*ofSnap
-	nextFD  int
-	nextLBA int64
-	stats   Stats
-}
-
 // CrashName implements crash.Snapshotter.
 func (fs *FS) CrashName() string { return "fs" }
 
-// snapFDs deep-copies the descriptor table (shared by full and delta
-// captures; the table is bounded by open descriptors, not file data).
+// snapFDs deep-copies the descriptor table. It is copied whole on every
+// capture: the table is bounded by open descriptors, not file data.
 func (fs *FS) snapFDs() map[int]*ofSnap {
 	fds := make(map[int]*ofSnap, len(fs.fdTable))
 	for fd, of := range fs.fdTable {
@@ -100,8 +100,13 @@ func (fs *FS) snapDirs() map[string]bool {
 	return dirs
 }
 
-// CrashSnapshot implements crash.Snapshotter.
-func (fs *FS) CrashSnapshot() any {
+// CrashSnapshot implements crash.Snapshotter. Only blocks written (and
+// files created) after sinceGen are copied; everything else is shared
+// with prev, so the capture copies O(state changed) bytes. The small
+// volatile parts — directory set, descriptor table, counters — mutate
+// on nearly every operation and are copied whole.
+func (fs *FS) CrashSnapshot(prev any, sinceGen uint64) any {
+	p, _ := prev.(*fsSnap)
 	s := &fsSnap{
 		files:   make(map[string]*fileSnap, len(fs.files)),
 		dirs:    fs.snapDirs(),
@@ -111,95 +116,52 @@ func (fs *FS) CrashSnapshot() any {
 		stats:   fs.stats,
 	}
 	for n, f := range fs.files {
-		s.files[n] = &fileSnap{file: f, dirty: copyDirty(f.dirty)}
-	}
-	return s
-}
-
-// CrashDelta implements crash.DeltaSnapshotter: only blocks written
-// (and files created) in generations after sinceGen are copied, so the
-// capture costs O(state changed) rather than O(file data).
-func (fs *FS) CrashDelta(sinceGen uint64) any {
-	d := &fsDelta{
-		files:   make(map[string]*fileSnap),
-		dirs:    fs.snapDirs(),
-		fds:     fs.snapFDs(),
-		nextFD:  fs.nextFD,
-		nextLBA: fs.nextLBA,
-		stats:   fs.stats,
-	}
-	for n, f := range fs.files {
-		if f.genCreated > sinceGen {
-			// New file: its whole dirty set rides the delta.
-			d.files[n] = &fileSnap{file: f, dirty: copyDirty(f.dirty)}
-			continue
-		}
-		if f.maxDirtyGen <= sinceGen {
-			continue
-		}
-		fsn := &fileSnap{file: f, dirty: make(map[int64][]byte)}
-		for b, g := range f.dirtyGen {
-			if g <= sinceGen {
-				continue
-			}
-			if blk, ok := f.dirty[b]; ok {
-				fsn.dirty[b] = append([]byte(nil), blk...)
+		var pf *fileSnap
+		if p != nil && f.genCreated <= sinceGen {
+			if x := p.files[n]; x != nil && x.file == f {
+				pf = x
 			}
 		}
-		d.files[n] = fsn
-	}
-	return d
-}
-
-// CrashMerge implements crash.DeltaSnapshotter. The base is mutated in
-// place and returned, so folding costs O(delta): the delta's blocks
-// are grafted onto the base's per-file maps, and the wholesale-copied
-// scalars simply replace the base's.
-func (fs *FS) CrashMerge(base, delta any) any {
-	d := delta.(*fsDelta)
-	if base == nil {
-		s := &fsSnap{files: d.files, dirs: d.dirs, fds: d.fds, nextFD: d.nextFD, nextLBA: d.nextLBA, stats: d.stats}
-		return s
-	}
-	s := base.(*fsSnap)
-	for n, fsn := range d.files {
-		if bs, ok := s.files[n]; ok && bs.file == fsn.file {
-			for b, blk := range fsn.dirty {
-				bs.dirty[b] = blk
+		if pf != nil && f.maxDirtyGen <= sinceGen {
+			s.files[n] = pf
+			continue
+		}
+		fsn := &fileSnap{file: f}
+		if pf == nil {
+			fsn.blocks = make([][]byte, f.Blocks())
+			for b, blk := range f.dirty {
+				fsn.blocks[b] = append([]byte(nil), blk...)
+				s.copied += int64(len(blk))
 			}
 		} else {
-			s.files[n] = fsn
+			fsn.blocks = slices.Clone(pf.blocks)
+			for b, g := range f.dirtyGen {
+				if g <= sinceGen {
+					continue
+				}
+				if blk, ok := f.dirty[b]; ok {
+					fsn.blocks[b] = append([]byte(nil), blk...)
+					s.copied += int64(len(blk))
+				}
+			}
 		}
+		s.files[n] = fsn
 	}
-	s.dirs = d.dirs
-	s.fds = d.fds
-	s.nextFD = d.nextFD
-	s.nextLBA = d.nextLBA
-	s.stats = d.stats
 	return s
 }
 
-// SnapshotBytes sizes a capture — a CrashSnapshot or CrashDelta result —
-// by the block payload it carries, the dominant term of a file-system
-// checkpoint. The checkpoint-cost sweep and benchmark use it to show
-// that incremental captures carry O(dirty) bytes.
+// SnapshotBytes sizes a capture by the block payload it copied rather
+// than shared, the dominant term of a file-system checkpoint. A full
+// copy carries every dirty block; an incremental capture only the
+// blocks written since its predecessor. The checkpoint-cost sweep and
+// benchmark use it to show that incremental captures copy O(dirty)
+// bytes.
 func SnapshotBytes(snap any) int64 {
-	var files map[string]*fileSnap
-	switch s := snap.(type) {
-	case *fsSnap:
-		files = s.files
-	case *fsDelta:
-		files = s.files
-	default:
+	s, ok := snap.(*fsSnap)
+	if !ok {
 		return 0
 	}
-	var n int64
-	for _, f := range files {
-		for _, blk := range f.dirty {
-			n += int64(len(blk))
-		}
-	}
-	return n
+	return s.copied
 }
 
 // CrashRestore implements crash.Snapshotter.
@@ -213,11 +175,16 @@ func (fs *FS) CrashRestore(snap any) {
 	}
 	fs.files = make(map[string]*File, len(s.files))
 	for n, fsn := range s.files {
-		fsn.file.dirty = copyDirty(fsn.dirty)
-		// Restored blocks match the consolidated checkpoint image
-		// exactly, so their dirty stamps rewind to zero: the next
-		// incremental capture copies only post-restore writes. Stale
-		// stamps for blocks written after the checkpoint die here too.
+		fsn.file.dirty = make(map[int64][]byte)
+		for b, blk := range fsn.blocks {
+			if blk != nil {
+				fsn.file.dirty[int64(b)] = append([]byte(nil), blk...)
+			}
+		}
+		// Restored blocks match the checkpoint image exactly, so their
+		// dirty stamps rewind to zero: the next incremental capture
+		// copies only post-restore writes. Stale stamps for blocks
+		// written after the checkpoint die here too.
 		fsn.file.dirtyGen = nil
 		fsn.file.dirtyOwner = nil
 		fsn.file.maxDirtyGen = 0
@@ -308,6 +275,11 @@ func (fs *FS) CrashImport(data []byte) error {
 	}
 	for _, fe := range ex.Files {
 		f := fs.Create(fe.Name, fe.Size, graft.UID(fe.Owner), fe.Public)
+		for b, d := range fe.Dirty {
+			if b < 0 || b >= f.Blocks() || len(d) != BlockSize {
+				return fmt.Errorf("fs: import %q: bad block %d (%d bytes)", fe.Name, b, len(d))
+			}
+		}
 		f.dirty = copyDirty(fe.Dirty)
 	}
 	return nil
@@ -344,8 +316,8 @@ func (fs *FS) CrashOwnerConflicts(sinceGen uint64, owner string) []string {
 }
 
 // CrashRestoreDomain implements crash.DomainScoper: it reverts only the
-// blocks owner dirtied after sinceGen back to their content in snap (a
-// full consolidated image at that generation), and removes files owner
+// blocks owner dirtied after sinceGen back to their content in snap (the
+// full image captured at that generation), and removes files owner
 // created after the checkpoint. Everything else — other owners' writes,
 // the shared descriptor table, counters, the untouched cache entries —
 // stays live.
@@ -391,7 +363,7 @@ func (fs *FS) CrashRestoreDomain(owner string, snap any, sinceGen uint64) int64 
 		sort.Slice(blocks, func(i, j int) bool { return blocks[i] < blocks[j] })
 		for _, b := range blocks {
 			if fsn != nil {
-				if blk, ok := fsn.dirty[b]; ok {
+				if blk := fsn.blocks[b]; blk != nil {
 					f.dirty[b] = append([]byte(nil), blk...)
 				} else {
 					delete(f.dirty, b)

@@ -557,6 +557,9 @@ func (of *OpenFile) WriteAt(t *sched.Thread, data []byte, off int64) (int, error
 	if of.uid != of.file.Owner && of.uid != graft.Root {
 		return 0, fmt.Errorf("%w: write %q", ErrPermission, of.file.Name)
 	}
+	if off < 0 {
+		return 0, fmt.Errorf("fs: write at negative offset %d", off)
+	}
 	written := int64(0)
 	n := int64(len(data))
 	for written < n && off+written < of.file.Size {

@@ -471,6 +471,22 @@ func TestWriteReadBack(t *testing.T) {
 	})
 }
 
+// TestWriteNegativeOffsetRejected: a negative offset is refused before
+// any block is dirtied (it would otherwise land in block -1).
+func TestWriteNegativeOffsetRejected(t *testing.T) {
+	k, fsys := newTestFS(64)
+	f := fsys.Create("data", 4*BlockSize, 7, false)
+	runProc(t, k, 7, func(p *kernel.Process) {
+		of, _ := fsys.Open(p.Thread, "data")
+		if n, err := of.WriteAt(p.Thread, make([]byte, BlockSize), -BlockSize); err == nil || n != 0 {
+			t.Errorf("WriteAt(-BlockSize) = %d, %v; want 0 and an error", n, err)
+		}
+	})
+	if len(f.dirty) != 0 {
+		t.Errorf("rejected write dirtied blocks %v", f.dirty)
+	}
+}
+
 func TestWritePermission(t *testing.T) {
 	k, fsys := newTestFS(64)
 	fsys.Create("public", BlockSize, 7, true)

@@ -26,10 +26,10 @@ func NewMeters(r *Registry) *Meters { return &Meters{reg: r} }
 func (m *Meters) CrashName() string { return "graft-meters" }
 
 // CrashSnapshot implements crash.Snapshotter: a deep copy of every
-// install-bound account's balances. Always a full capture — the set is
-// small and balances churn every round, so delta tracking would buy
+// install-bound account's balances. It never reuses prev — the set is
+// small and balances churn every round, so change tracking would buy
 // nothing.
-func (m *Meters) CrashSnapshot() any {
+func (m *Meters) CrashSnapshot(prev any, sinceGen uint64) any {
 	snaps := make(map[*resource.Account]*resource.AccountSnap, len(m.reg.meterAccounts))
 	for a := range m.reg.meterAccounts {
 		snaps[a] = a.Snapshot()

@@ -761,8 +761,15 @@ type regSnap struct {
 // CrashName implements crash.Snapshotter.
 func (r *Registry) CrashName() string { return "grafts" }
 
-// CrashSnapshot implements crash.Snapshotter.
-func (r *Registry) CrashSnapshot() any {
+// CrashSnapshot implements crash.Snapshotter. Membership only moves on
+// point registration and graft install/remove, so a quiet registry
+// reuses prev whole. A changed registry is copied in full — membership
+// is interlinked (points ↔ installed ↔ handlers) and far smaller than
+// file or page state.
+func (r *Registry) CrashSnapshot(prev any, sinceGen uint64) any {
+	if prev != nil && r.GenSource != nil && r.modGen <= sinceGen {
+		return prev
+	}
 	s := &regSnap{
 		points:   make(map[string]*Point, len(r.points)),
 		grafted:  make(map[*Point]*Installed, len(r.points)),
@@ -814,22 +821,6 @@ func (r *Registry) CrashRestore(snap any) {
 		p.handlers = append([]*Installed(nil), hs...)
 	}
 }
-
-// CrashDelta implements crash.DeltaSnapshotter: membership only moves
-// on point registration and graft install/remove, so a quiet registry
-// reports nil and the checkpoint keeps the previous image. A changed
-// registry snapshots in full — membership is interlinked (points ↔
-// installed ↔ handlers) and far smaller than file or page state.
-func (r *Registry) CrashDelta(sinceGen uint64) any {
-	if r.GenSource != nil && r.modGen <= sinceGen {
-		return nil
-	}
-	return r.CrashSnapshot()
-}
-
-// CrashMerge implements crash.DeltaSnapshotter: a non-nil delta is a
-// full image and replaces the base.
-func (r *Registry) CrashMerge(base, delta any) any { return delta }
 
 // graftRecord is one installed graft's durable image: the signed image
 // bytes, its binding (point, entry, owner, order) and its resource

@@ -83,10 +83,11 @@ type ChaosConfig struct {
 	// from a delayed-detection panic can rewind past the newest
 	// checkpoint to one predating the taint.
 	CheckpointRing int
-	// CheckpointFullCopy disables incremental (base + delta chain)
-	// capture and deep-copies every subsystem at every checkpoint.
-	// Restored state and trace dumps are byte-identical either way;
-	// the switch exists for cost comparison and regression A/Bs.
+	// CheckpointFullCopy disables incremental capture (images sharing
+	// unchanged state with their predecessor) and deep-copies every
+	// subsystem at every checkpoint. Restored state and trace dumps are
+	// byte-identical either way; the switch exists for cost comparison
+	// and as the reference in equivalence tests.
 	CheckpointFullCopy bool
 	// NoRecover disables checkpointing and recovery: the first injected
 	// panic of the crash phase is fatal and reported as FatalPanic. The
@@ -395,6 +396,9 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	}
 	k := kernel.New(kcfg)
 	c := &chaosRun{cfg: cfg, k: k, report: &ChaosReport{Plan: plan}}
+	if err := c.persistErr(); err != nil {
+		return nil, err
+	}
 	if cfg.VaryInstalls {
 		c.instRng = rand.New(rand.NewSource(cfg.Seed ^ 0x5EED_1057A11))
 	}
@@ -449,9 +453,22 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	}
 	c.report.FollowupOK = ok
 	c.checkInvariants("after follow-up")
+	if err := c.persistErr(); err != nil {
+		return nil, err
+	}
 
 	c.finishReport()
 	return c.report, nil
+}
+
+// persistErr reports a durable-checkpoint failure — a checkpoint
+// directory that cannot be created, or a manifest that could not be
+// written — when the run was asked to persist.
+func (c *chaosRun) persistErr() error {
+	if c.cfg.CheckpointDir == "" || c.k.Crash == nil {
+		return nil
+	}
+	return c.k.Crash.PersistErr()
 }
 
 func (c *chaosRun) finishReport() {

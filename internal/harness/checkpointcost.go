@@ -16,7 +16,7 @@ import (
 // size (every block written once), re-dirties a given fraction of it,
 // and measures one checkpoint capture under full-copy and incremental
 // modes — wall-clock capture time plus the block payload the capture
-// carries. Full-copy cost should track state size; incremental cost
+// copies. Full-copy cost should track state size; incremental cost
 // should track the dirty fraction.
 
 // CheckpointCostPoint is one grid point of the sweep.
@@ -29,7 +29,7 @@ type CheckpointCostPoint struct {
 	// for one checkpoint in full-copy and incremental mode.
 	FullUS, IncrUS float64
 	// FullBytes and IncrBytes are the block payloads the two captures
-	// carry.
+	// copy.
 	FullBytes, IncrBytes int64
 	// Speedup is FullUS / IncrUS.
 	Speedup float64
@@ -44,9 +44,9 @@ type CheckpointCostEnv struct {
 	file    string
 	nblocks int
 	stride  int // write every stride-th block per round; 0 writes none
-	// Payload is the block payload one capture carries in this mode:
-	// the delta the manager asks for (incremental) or the whole image
-	// (full copy).
+	// Payload is the block payload one capture copies in this mode:
+	// the blocks written since the base image (incremental) or every
+	// block (full copy).
 	Payload int64
 }
 
@@ -65,15 +65,17 @@ func NewCheckpointCostEnv(nblocks, pct int, fullCopy bool) (*CheckpointCostEnv, 
 		return nil, err
 	}
 	e.k.Checkpoint() // the base image holds the full state
+	// A copy of the base entry's fs image sizes the next capture
+	// without taking it.
+	base := e.fsys.CrashSnapshot(nil, 0)
 	e.stride = dirtyStride(pct)
 	if err := e.Dirty(0); err != nil {
 		return nil, err
 	}
 	if fullCopy {
-		e.Payload = vfs.SnapshotBytes(e.fsys.CrashSnapshot())
-	} else {
-		e.Payload = vfs.SnapshotBytes(e.fsys.CrashDelta(e.k.Crash.Gen() - 1))
+		base = nil
 	}
+	e.Payload = vfs.SnapshotBytes(e.fsys.CrashSnapshot(base, e.k.Crash.Gen()-1))
 	return e, nil
 }
 

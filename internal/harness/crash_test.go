@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -176,6 +178,29 @@ func TestCrashPhaseOffLeavesClassicRunIdentical(t *testing.T) {
 	}
 	if s := r.Summary(); strings.Contains(s, "kernel panics") {
 		t.Errorf("classic summary mentions panics:\n%s", s)
+	}
+}
+
+// TestCrashPhaseCheckpointDirFailure: a checkpoint directory that
+// cannot be created (here, a path under a regular file) fails the run
+// instead of silently persisting nothing; a usable one receives
+// manifests.
+func TestCrashPhaseCheckpointDirFailure(t *testing.T) {
+	tmp := t.TempDir()
+	plain := filepath.Join(tmp, "plain")
+	if err := os.WriteFile(plain, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg := ChaosConfig{Seed: 7, Iterations: 4, Crash: true, CheckpointDir: filepath.Join(plain, "ckpt")}
+	if _, err := RunChaos(cfg); err == nil {
+		t.Fatal("RunChaos with a checkpoint dir under a regular file returned no error")
+	}
+	cfg.CheckpointDir = filepath.Join(tmp, "ckpt")
+	if _, err := RunChaos(cfg); err != nil {
+		t.Fatalf("RunChaos with a usable checkpoint dir: %v", err)
+	}
+	if m, _ := filepath.Glob(filepath.Join(cfg.CheckpointDir, "cp-*.gob")); len(m) == 0 {
+		t.Error("usable checkpoint dir holds no manifests")
 	}
 }
 

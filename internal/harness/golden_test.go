@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"vino/internal/kernel"
 )
 
 // The golden files under testdata/ were captured from the single-CPU
@@ -85,11 +87,14 @@ func TestGoldenChaosDump(t *testing.T) {
 
 // TestGoldenCrashDump pins the crash phase's determinism artifact and
 // proves two engine choices are invisible in it: a run with full-copy
-// captures (the pre-delta behaviour) and a run on the interpreting VM
-// (NoTranslate, the semantic oracle) must each reproduce the default
-// run byte for byte — only host cost may differ, never a plan, a
-// summary, a counter or a trace. These are everything `vinosim crash
-// -trace` prints.
+// captures (no state shared between checkpoint images) and a run on
+// the interpreting VM (NoTranslate, the semantic oracle) must each
+// reproduce the default run byte for byte — only host cost may differ,
+// never a plan, a summary, a counter or a trace. These are everything
+// `vinosim crash -trace` prints. The same full-copy equivalence is
+// checked with a ring of three, where RestoreBefore may restore an
+// older image than the newest, and with graft-scoped recovery, where
+// RestoreDomain reverts against the newest image.
 func TestGoldenCrashDump(t *testing.T) {
 	cfg := ChaosConfig{Seed: 7, Extended: true, Crash: true}
 	base, err := RunChaos(cfg)
@@ -102,29 +107,48 @@ func TestGoldenCrashDump(t *testing.T) {
 	goldenCompare(t, "crash-seed7.summary", base.Summary())
 	goldenCompare(t, "crash-seed7.dump", base.TraceDump)
 
-	full, interp := cfg, cfg
+	full, interp, ring, graftScope := cfg, cfg, cfg, cfg
 	full.CheckpointFullCopy = true
 	interp.NoTranslate = true
+	ring.CheckpointRing = 3
+	graftScope.RecoverScope = kernel.RecoverScopeGraft
 	for _, v := range []struct {
 		name string
+		ref  *ChaosConfig // nil: the default run
 		cfg  ChaosConfig
-	}{{"full-copy", full}, {"interpreted", interp}} {
+	}{
+		{"full-copy", nil, full},
+		{"interpreted", nil, interp},
+		{"ring-3 full-copy", &ring, withFullCopy(ring)},
+		{"graft-scope full-copy", &graftScope, withFullCopy(graftScope)},
+	} {
+		want := base
+		if v.ref != nil {
+			if want, err = RunChaos(*v.ref); err != nil {
+				t.Fatalf("RunChaos (%s reference): %v", v.name, err)
+			}
+		}
 		rep, err := RunChaos(v.cfg)
 		if err != nil {
 			t.Fatalf("RunChaos (%s): %v", v.name, err)
 		}
 		for _, a := range []struct{ what, got, want string }{
-			{"plan", rep.Plan.String(), base.Plan.String()},
-			{"summary", rep.Summary(), base.Summary()},
-			{"counters", rep.CounterSummary(), base.CounterSummary()},
-			{"trace dump", rep.TraceDump, base.TraceDump},
+			{"plan", rep.Plan.String(), want.Plan.String()},
+			{"summary", rep.Summary(), want.Summary()},
+			{"counters", rep.CounterSummary(), want.CounterSummary()},
+			{"trace dump", rep.TraceDump, want.TraceDump},
 		} {
 			if a.got != a.want {
-				t.Errorf("%s %s diverged from the default run", v.name, a.what)
+				t.Errorf("%s %s diverged from the shared-image run", v.name, a.what)
 				reportFirstDiff(t, a.got, a.want)
 			}
 		}
 	}
+}
+
+func withFullCopy(cfg ChaosConfig) ChaosConfig {
+	cfg.CheckpointFullCopy = true
+	return cfg
 }
 
 func TestGoldenTables(t *testing.T) {

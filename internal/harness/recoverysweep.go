@@ -117,7 +117,7 @@ func measureRecoveryCost(ngrafts, nblocks int) (p RecoveryCostPoint, err error) 
 	if err != nil {
 		return p, err
 	}
-	p.KernelBytes = vfs.SnapshotBytes(e.fsys.CrashSnapshot())
+	p.KernelBytes = vfs.SnapshotBytes(e.fsys.CrashSnapshot(nil, 0))
 	const rounds = 5
 	var total time.Duration
 	for r := 0; r < rounds; r++ {

@@ -305,7 +305,7 @@ func TestScopedRecoveryWidensOnEntangledLock(t *testing.T) {
 }
 
 // TestScopedRecoveryChain: two scoped recoveries back to back across
-// different domains, restoring against the same consolidated base.
+// different domains, restoring against the same checkpoint image.
 // Each offender's stamped block reverts; the survivor's write and the
 // other domain's history are untouched by either restore.
 func TestScopedRecoveryChain(t *testing.T) {
@@ -418,9 +418,9 @@ func TestScopedRecoveryChain(t *testing.T) {
 // made to report corruption, tainting the checkpoint it is captured in.
 type fakeAudited struct{ bad bool }
 
-func (f *fakeAudited) CrashName() string     { return "fake-audited" }
-func (f *fakeAudited) CrashSnapshot() any    { return struct{}{} }
-func (f *fakeAudited) CrashRestore(snap any) {}
+func (f *fakeAudited) CrashName() string             { return "fake-audited" }
+func (f *fakeAudited) CrashSnapshot(any, uint64) any { return struct{}{} }
+func (f *fakeAudited) CrashRestore(snap any)         {}
 func (f *fakeAudited) CrashAudit() []string {
 	if f.bad {
 		return []string{"invariant violated"}
@@ -561,6 +561,19 @@ func TestCheckpointPersistRoundTrip(t *testing.T) {
 	}
 	for _, bad := range fs2.Fsck() {
 		t.Errorf("fsck: %s", bad)
+	}
+}
+
+// TestCheckpointDirUnusable: a checkpoint directory that cannot be
+// created is reported by PersistErr, not dropped.
+func TestCheckpointDirUnusable(t *testing.T) {
+	plain := filepath.Join(t.TempDir(), "plain")
+	if err := os.WriteFile(plain, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	k := kernel.New(kernel.Config{CheckpointEvery: time.Hour, CheckpointDir: filepath.Join(plain, "ckpt")})
+	if k.Crash.PersistErr() == nil {
+		t.Fatal("PersistErr is nil for a checkpoint dir under a regular file")
 	}
 }
 

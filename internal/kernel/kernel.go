@@ -84,10 +84,11 @@ type Config struct {
 	// non-zero Panic.TaintedAt) restore the newest checkpoint predating
 	// the taint. Zero or one keeps only the newest checkpoint.
 	CheckpointRing int
-	// CheckpointFullCopy disables incremental (base + delta chain)
-	// checkpoint capture and deep-copies every subsystem on every
-	// checkpoint. Restored state and traces are byte-identical either
-	// way; the switch exists for cost comparison and regression A/Bs.
+	// CheckpointFullCopy disables incremental capture, where each
+	// checkpoint image shares unchanged state with its predecessor, and
+	// deep-copies every subsystem on every checkpoint. Restored state
+	// and traces are byte-identical either way; the switch exists for
+	// cost comparison and as the reference in equivalence tests.
 	CheckpointFullCopy bool
 	// RecoverScope selects what a contained kernel panic rolls back:
 	// RecoverScopeKernel (the default, and the zero value) restores the
@@ -142,10 +143,9 @@ type Kernel struct {
 	// deterministic decisions from it.
 	Seed int64
 
-	log          []string
+	log          []string // append-only between restores (see CrashSnapshot)
 	processes    map[string]*Process
 	nextPID      int
-	capLogLen    map[uint64]int // checkpoint generation -> log length at capture
 	delegation   *delegationState
 	hoardLock    *lock.Lock
 	recoverScope string
@@ -215,7 +215,9 @@ func New(cfg Config) *Kernel {
 		k.Crash.SetRing(cfg.CheckpointRing)
 		k.Crash.SetIncremental(!cfg.CheckpointFullCopy)
 		if cfg.CheckpointDir != "" {
-			k.Crash.SetPersistDir(cfg.CheckpointDir)
+			// A directory that cannot be created is reported by
+			// Crash.PersistErr.
+			_ = k.Crash.SetPersistDir(cfg.CheckpointDir)
 		}
 		// Dirty stamps for incremental capture.
 		locks.GenSource = k.Crash.Gen
@@ -271,93 +273,26 @@ type kernelSnap struct {
 // CrashName implements crash.Snapshotter.
 func (k *Kernel) CrashName() string { return "kernel" }
 
-// noteLogLen records the log length at the current checkpoint
-// generation, so a later CrashDelta can ship only the appended tail.
-func (k *Kernel) noteLogLen() {
-	if k.Crash == nil {
-		return
-	}
-	if k.capLogLen == nil {
-		k.capLogLen = make(map[uint64]int)
-	}
-	k.capLogLen[k.Crash.Gen()] = len(k.log)
-}
-
-// CrashSnapshot implements crash.Snapshotter.
-func (k *Kernel) CrashSnapshot() any {
-	k.noteLogLen()
+// CrashSnapshot implements crash.Snapshotter. The log only grows
+// between restores, and a restore or import installs a fresh slice, so
+// with a predecessor image the capture slices the live log instead of
+// copying it: consecutive images share its lines, and later appends
+// land beyond every image's length. The process table is small and
+// copied whole.
+func (k *Kernel) CrashSnapshot(prev any, sinceGen uint64) any {
 	s := &kernelSnap{
-		log:      append([]string(nil), k.log...),
+		log:      k.log[:len(k.log):len(k.log)],
 		procs:    make(map[string]*Process, len(k.processes)),
 		accounts: make(map[string]*resource.AccountSnap, len(k.processes)),
 		nextPID:  k.nextPID,
+	}
+	if prev == nil {
+		s.log = append([]string(nil), k.log...)
 	}
 	for n, p := range k.processes {
 		s.procs[n] = p
 		s.accounts[n] = p.Account.Snapshot()
 	}
-	return s
-}
-
-// kernelDelta is the incremental capture: the log lines appended since
-// the predecessor checkpoint plus the (small) process table. The log
-// is the kernel's only unbounded structure; the table is copied whole.
-type kernelDelta struct {
-	fromLen  int // log length at the predecessor capture
-	logTail  []string
-	procs    map[string]*Process
-	accounts map[string]*resource.AccountSnap
-	nextPID  int
-}
-
-// CrashDelta implements crash.DeltaSnapshotter.
-func (k *Kernel) CrashDelta(sinceGen uint64) any {
-	from, ok := k.capLogLen[sinceGen]
-	if !ok || from > len(k.log) {
-		// No record of the predecessor capture (or an impossible one):
-		// fall back to a full image, which CrashMerge replaces with.
-		return k.CrashSnapshot()
-	}
-	// Deltas are only ever asked against the newest entry's generation,
-	// so older memos are dead; prune them to keep the map bounded.
-	for g := range k.capLogLen {
-		if g < sinceGen {
-			delete(k.capLogLen, g)
-		}
-	}
-	k.noteLogLen()
-	d := &kernelDelta{
-		fromLen:  from,
-		logTail:  append([]string(nil), k.log[from:]...),
-		procs:    make(map[string]*Process, len(k.processes)),
-		accounts: make(map[string]*resource.AccountSnap, len(k.processes)),
-		nextPID:  k.nextPID,
-	}
-	for n, p := range k.processes {
-		d.procs[n] = p
-		d.accounts[n] = p.Account.Snapshot()
-	}
-	return d
-}
-
-// CrashMerge implements crash.DeltaSnapshotter.
-func (k *Kernel) CrashMerge(base, delta any) any {
-	if full, ok := delta.(*kernelSnap); ok {
-		return full
-	}
-	d := delta.(*kernelDelta)
-	if base == nil {
-		base = &kernelSnap{}
-	}
-	s := base.(*kernelSnap)
-	if d.fromLen <= len(s.log) {
-		s.log = append(s.log[:d.fromLen], d.logTail...)
-	} else {
-		s.log = append(s.log, d.logTail...)
-	}
-	s.procs = d.procs
-	s.accounts = d.accounts
-	s.nextPID = d.nextPID
 	return s
 }
 
@@ -571,7 +506,7 @@ func (k *Kernel) recoverDomain(cp *crash.Panic, dead *sched.Thread, crashedAt ti
 	// Sound to scope: unwind the offender's transaction stack (undo
 	// records run, its locks release), purge any remaining lock state of
 	// the dead thread, then revert its owner-stamped fs/vmm writes to
-	// the consolidated checkpoint image.
+	// the newest checkpoint image.
 	aborted := k.Txns.AbortOrphan(dead)
 	k.Locks.PurgeThread(dead)
 	at, bytes, ok := k.Crash.RestoreDomain(cp.Graft)
@@ -591,6 +526,7 @@ func (k *Kernel) recoverDomain(cp *crash.Panic, dead *sched.Thread, crashedAt ti
 	}
 	k.Grafts.RemoveGuardKey(cp.Graft)
 	k.Crash.RecordScopedRecovery(bytes)
+	// Golden dumps pin this wording.
 	k.Trace.Emit(at, trace.DomainCheckpoint, "crash",
 		fmt.Sprintf("consolidated base for %s", cp.Graft))
 	k.Trace.Emit(crashedAt, trace.DomainRestore, cp.Graft,

@@ -664,8 +664,13 @@ type lockSnap struct {
 // CrashName implements crash.Snapshotter.
 func (m *Manager) CrashName() string { return "locks" }
 
-// CrashSnapshot implements crash.Snapshotter.
-func (m *Manager) CrashSnapshot() any {
+// CrashSnapshot implements crash.Snapshotter. The image is the table
+// population alone, which only changes when a lock is created, so a
+// quiet table reuses prev whole.
+func (m *Manager) CrashSnapshot(prev any, sinceGen uint64) any {
+	if prev != nil && m.GenSource != nil && m.modGen <= sinceGen {
+		return prev
+	}
 	return &lockSnap{numLocks: len(m.locks)}
 }
 
@@ -690,21 +695,6 @@ func (m *Manager) CrashRestore(snap any) {
 		l.waiters = nil
 	}
 }
-
-// CrashDelta implements crash.DeltaSnapshotter: the lock image is the
-// table population alone, which only changes when a lock is created,
-// so an unchanged table reports nil and the checkpoint keeps the
-// previous image.
-func (m *Manager) CrashDelta(sinceGen uint64) any {
-	if m.GenSource != nil && m.modGen <= sinceGen {
-		return nil
-	}
-	return m.CrashSnapshot()
-}
-
-// CrashMerge implements crash.DeltaSnapshotter: a non-nil delta is a
-// full image and replaces the base.
-func (m *Manager) CrashMerge(base, delta any) any { return delta }
 
 // lockExport is the lock manager's durable image. Locks themselves are
 // owned by the subsystems that create them (files, address spaces, the

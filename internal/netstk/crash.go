@@ -9,9 +9,9 @@ import (
 // Crash checkpoint/restore for the network stack. Connections (with
 // their stream positions), listeners and counters rewind exactly, so a
 // mid-accept crash cannot leak a half-accepted connection past the
-// restore. The state is small — bounded by live connections — so Net is
-// a plain Snapshotter: incremental checkpoints take its full copy every
-// time, which is already O(dirty) next to fs and vmm.
+// restore. The state is small — bounded by live connections — so every
+// capture copies it whole and never reuses the previous image, which is
+// already O(dirty) next to fs and vmm.
 
 type connSnap struct {
 	conn    *Conn
@@ -32,7 +32,7 @@ type netSnap struct {
 func (n *Net) CrashName() string { return "netstk" }
 
 // CrashSnapshot implements crash.Snapshotter.
-func (n *Net) CrashSnapshot() any {
+func (n *Net) CrashSnapshot(prev any, sinceGen uint64) any {
 	s := &netSnap{
 		ports:    make(map[string]*Port, len(n.ports)),
 		conns:    make(map[int64]*connSnap, len(n.conns)),

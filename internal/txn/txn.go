@@ -174,8 +174,11 @@ type txnSnap struct {
 // CrashName implements crash.Snapshotter.
 func (m *Manager) CrashName() string { return "txns" }
 
-// CrashSnapshot implements crash.Snapshotter.
-func (m *Manager) CrashSnapshot() any { return &txnSnap{stats: m.stats, lastAbort: m.lastAbort} }
+// CrashSnapshot implements crash.Snapshotter. The image is two
+// counters, so it is always taken fresh.
+func (m *Manager) CrashSnapshot(prev any, sinceGen uint64) any {
+	return &txnSnap{stats: m.stats, lastAbort: m.lastAbort}
+}
 
 // CrashRestore implements crash.Snapshotter.
 func (m *Manager) CrashRestore(snap any) {

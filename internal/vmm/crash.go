@@ -5,6 +5,7 @@ import (
 	"container/list"
 	"encoding/gob"
 	"fmt"
+	"maps"
 	"sort"
 
 	"vino/internal/resource"
@@ -37,22 +38,6 @@ type vmmSnap struct {
 	lastEvicted *Page
 }
 
-// vmmDelta is the incremental capture: spaces with stamped changes
-// (carrying only their stamped pages), the set of live space ids (so a
-// merge drops destroyed spaces), and the global scalars. The LRU queue
-// order is copied wholesale in every delta — it reorders on nearly
-// every access, but it is bounded by physical frames, not by the page
-// population, and a copy is pointer-sized per entry.
-type vmmDelta struct {
-	spaces      map[int]*vasSnap
-	live        map[int]bool
-	queue       []*Page
-	usedFrames  int
-	nextVAS     int
-	stats       Stats
-	lastEvicted *Page
-}
-
 // CrashName implements crash.Snapshotter.
 func (v *VMM) CrashName() string { return "vmm" }
 
@@ -65,41 +50,16 @@ func (v *VMM) snapQueue() []*Page {
 	return q
 }
 
-// CrashSnapshot implements crash.Snapshotter.
-func (v *VMM) CrashSnapshot() any {
+// CrashSnapshot implements crash.Snapshotter. A space with no stamp
+// since sinceGen shares prev's image outright; a stamped space starts
+// from a clone of prev's page maps and copies only its stamped pages.
+// The LRU queue order is copied on every capture — it reorders on
+// nearly every access, but it is bounded by physical frames, not by
+// the page population, and a copy is pointer-sized per entry.
+func (v *VMM) CrashSnapshot(prev any, sinceGen uint64) any {
+	p, _ := prev.(*vmmSnap)
 	s := &vmmSnap{
 		spaces:      make(map[int]*vasSnap, len(v.spaces)),
-		usedFrames:  v.usedFrames,
-		nextVAS:     v.nextVAS,
-		stats:       v.stats,
-		lastEvicted: v.lastEvicted,
-	}
-	for id, vas := range v.spaces {
-		vs := &vasSnap{
-			vas:       vas,
-			pages:     make(map[int64]*Page, len(vas.pages)),
-			flags:     make(map[int64]pageFlags, len(vas.pages)),
-			mappings:  append([]mapping(nil), vas.mappings...),
-			faults:    vas.Faults,
-			evictions: vas.Evictions,
-		}
-		for vpn, p := range vas.pages {
-			vs.pages[vpn] = p
-			vs.flags[vpn] = pageFlags{p.resident, p.wired, p.referenced, p.dirty}
-		}
-		s.spaces[id] = vs
-	}
-	s.queue = v.snapQueue()
-	return s
-}
-
-// CrashDelta implements crash.DeltaSnapshotter: only spaces and pages
-// stamped after sinceGen are captured, so the cost tracks what the VM
-// system actually did since the last checkpoint.
-func (v *VMM) CrashDelta(sinceGen uint64) any {
-	d := &vmmDelta{
-		spaces:      make(map[int]*vasSnap),
-		live:        make(map[int]bool, len(v.spaces)),
 		queue:       v.snapQueue(),
 		usedFrames:  v.usedFrames,
 		nextVAS:     v.nextVAS,
@@ -107,64 +67,36 @@ func (v *VMM) CrashDelta(sinceGen uint64) any {
 		lastEvicted: v.lastEvicted,
 	}
 	for id, vas := range v.spaces {
-		d.live[id] = true
-		if vas.genCreated <= sinceGen && vas.modGen <= sinceGen {
+		var pv *vasSnap
+		if p != nil && vas.genCreated <= sinceGen {
+			if x := p.spaces[id]; x != nil && x.vas == vas {
+				pv = x
+			}
+		}
+		if pv != nil && vas.modGen <= sinceGen {
+			s.spaces[id] = pv
 			continue
 		}
 		vs := &vasSnap{
 			vas:       vas,
-			pages:     make(map[int64]*Page),
-			flags:     make(map[int64]pageFlags),
 			mappings:  append([]mapping(nil), vas.mappings...),
 			faults:    vas.Faults,
 			evictions: vas.Evictions,
 		}
-		fresh := vas.genCreated > sinceGen
-		for vpn, p := range vas.pages {
-			if !fresh && p.modGen <= sinceGen {
-				continue
+		if pv != nil {
+			vs.pages, vs.flags = maps.Clone(pv.pages), maps.Clone(pv.flags)
+		} else {
+			vs.pages = make(map[int64]*Page, len(vas.pages))
+			vs.flags = make(map[int64]pageFlags, len(vas.pages))
+		}
+		for vpn, pg := range vas.pages {
+			if pv == nil || pg.modGen > sinceGen {
+				vs.pages[vpn] = pg
+				vs.flags[vpn] = pageFlags{pg.resident, pg.wired, pg.referenced, pg.dirty}
 			}
-			vs.pages[vpn] = p
-			vs.flags[vpn] = pageFlags{p.resident, p.wired, p.referenced, p.dirty}
 		}
-		d.spaces[id] = vs
+		s.spaces[id] = vs
 	}
-	return d
-}
-
-// CrashMerge implements crash.DeltaSnapshotter. The base is mutated in
-// place and returned: destroyed spaces drop out, changed pages graft
-// onto their space's maps, and the wholesale-copied queue and scalars
-// replace the base's.
-func (v *VMM) CrashMerge(base, delta any) any {
-	d := delta.(*vmmDelta)
-	if base == nil {
-		base = &vmmSnap{spaces: make(map[int]*vasSnap, len(d.spaces))}
-	}
-	s := base.(*vmmSnap)
-	for id := range s.spaces {
-		if !d.live[id] {
-			delete(s.spaces, id)
-		}
-	}
-	for id, vs := range d.spaces {
-		bs, ok := s.spaces[id]
-		if !ok || bs.vas != vs.vas {
-			s.spaces[id] = vs
-			continue
-		}
-		for vpn, p := range vs.pages {
-			bs.pages[vpn] = p
-			bs.flags[vpn] = vs.flags[vpn]
-		}
-		bs.mappings = vs.mappings
-		bs.faults, bs.evictions = vs.faults, vs.evictions
-	}
-	s.queue = d.queue
-	s.usedFrames = d.usedFrames
-	s.nextVAS = d.nextVAS
-	s.stats = d.stats
-	s.lastEvicted = d.lastEvicted
 	return s
 }
 
@@ -179,8 +111,8 @@ func (v *VMM) CrashRestore(snap any) {
 			f := vs.flags[vpn]
 			p.resident, p.wired, p.referenced, p.dirty = f.resident, f.wired, f.referenced, f.dirty
 			p.elem = nil
-			// Restored flags match the consolidated image: rewind the
-			// dirty stamp so the next delta copies only fresh changes.
+			// Restored flags match the image: rewind the dirty stamp so
+			// the next capture copies only fresh changes.
 			// Owner stamps rewind too — every domain was reverted at once.
 			p.modGen = 0
 			p.owner, p.writeGen = "", 0

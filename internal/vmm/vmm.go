@@ -152,7 +152,8 @@ func (v *VMM) crashGen() uint64 {
 
 // stamp marks a page (and its space) as modified in the current
 // generation. Over-stamping is harmless — a stamped-but-unchanged page
-// rides the next delta at its current, correct flags.
+// is copied into the next checkpoint image at its current, correct
+// flags.
 func (v *VMM) stamp(p *Page) {
 	if g := v.crashGen(); g != 0 {
 		p.modGen = g
