@@ -442,8 +442,13 @@ const (
 // lock's class time-out expires; match with errors.As.
 type LockTimeoutError = lock.TimeoutError
 
-// ResourceKind names a quantity-constrained resource.
+// ResourceKind names a quantity-constrained resource. The set of kinds
+// is closed (the six constants below); a kind indexes ResourceAmounts.
 type ResourceKind = resource.Kind
+
+// ResourceAmounts is one quantity per resource kind, used for limits
+// and install transfers: ResourceAmounts{ResMemory: 16 << 10}.
+type ResourceAmounts = resource.Amounts
 
 // Resource kinds.
 const (
@@ -728,7 +733,7 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) { return fleet.Run(cfg) }
 
 // DefaultFleetTenantLimits is the per-tenant resource grant a fleet
 // run starts from when none is configured.
-func DefaultFleetTenantLimits() map[ResourceKind]int64 { return fleet.DefaultTenantLimits() }
+func DefaultFleetTenantLimits() ResourceAmounts { return fleet.DefaultTenantLimits() }
 
 // RedTeamConfig parameterises a run of the adversarial SFI escape
 // corpus: forged discharges, width confusion, out-of-bounds loads and

@@ -186,7 +186,7 @@ func runMemory() error {
 	pt := echoPoint(k, "obj.fn", time.Second)
 	k.SpawnProcess("greedy", 100, func(p *vino.Process) {
 		g, err := p.BuildAndInstall("obj.fn", vino.FaultGraftSource(vino.FaultGraftBlowout),
-			vino.InstallOptions{Transfer: map[vino.ResourceKind]int64{vino.ResKernelHeap: 64 << 10}})
+			vino.InstallOptions{Transfer: vino.ResourceAmounts{vino.ResKernelHeap: 64 << 10}})
 		if err != nil {
 			panic(err)
 		}
@@ -341,7 +341,7 @@ main:
     mov r1, r6
     callk net.close
     ret
-`, vino.InstallOptions{Transfer: map[vino.ResourceKind]int64{vino.ResMemory: 4096}}); err != nil {
+`, vino.InstallOptions{Transfer: vino.ResourceAmounts{vino.ResMemory: 4096}}); err != nil {
 			panic(err)
 		}
 		conn, err := n.Connect(k.Sched, "tcp", 80, []byte("GET / HTTP/1.0\r\n\r\n"))

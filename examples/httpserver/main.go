@@ -62,7 +62,7 @@ func main() {
 	fmt.Printf("event graft points: %s, %s\n\n", web.Point().Name, buggy.Point().Name)
 
 	k.SpawnProcess("webmaster", 100, func(p *vino.Process) {
-		opts := graft.InstallOptions{Transfer: map[resource.Kind]int64{resource.Memory: 16 << 10}}
+		opts := graft.InstallOptions{Transfer: resource.Amounts{resource.Memory: 16 << 10}}
 		if _, err := p.BuildAndInstall(web.Point().Name, httpGraft, opts); err != nil {
 			log.Fatal(err)
 		}

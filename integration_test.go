@@ -115,7 +115,7 @@ main:
     mov r1, r6
     callk net.close
     ret
-`, graft.InstallOptions{Transfer: map[resource.Kind]int64{resource.Memory: 8 << 10}}); err != nil {
+`, graft.InstallOptions{Transfer: resource.Amounts{resource.Memory: 8 << 10}}); err != nil {
 			t.Errorf("web graft: %v", err)
 			return
 		}

@@ -44,12 +44,20 @@ type Exporter interface {
 	CrashImport(data []byte) error
 }
 
-// diskManifest is the on-disk image of one checkpoint.
+// diskManifest is the on-disk image of one checkpoint. Its payloads
+// are in registration order, so the same state encodes to the same
+// bytes.
 type diskManifest struct {
 	Seq  int64
 	Gen  uint64
 	At   time.Duration
-	Subs map[string][]byte // CrashName -> CrashExport payload
+	Subs []diskPayload
+}
+
+// diskPayload is one Exporter's CrashExport image.
+type diskPayload struct {
+	Name string // CrashName
+	Data []byte
 }
 
 // SetPersistDir enables durable checkpoints under dir (created if
@@ -82,7 +90,7 @@ func (m *Manager) persist(cp *checkpoint) {
 	if m.persistDir == "" {
 		return
 	}
-	man := &diskManifest{Seq: cp.seq, Gen: cp.gen, At: cp.at, Subs: make(map[string][]byte)}
+	man := &diskManifest{Seq: cp.seq, Gen: cp.gen, At: cp.at}
 	for _, s := range m.subs {
 		e, ok := s.(Exporter)
 		if !ok {
@@ -93,7 +101,7 @@ func (m *Manager) persist(cp *checkpoint) {
 			m.persistErr = fmt.Errorf("crash: export %s: %w", e.CrashName(), err)
 			return
 		}
-		man.Subs[e.CrashName()] = data
+		man.Subs = append(man.Subs, diskPayload{Name: e.CrashName(), Data: data})
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(man); err != nil {
@@ -188,12 +196,16 @@ func (m *Manager) RestoreFromDisk() (time.Duration, error) {
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&man); err != nil {
 		return 0, fmt.Errorf("crash: decode checkpoint %d: %w", seqs[len(seqs)-1], err)
 	}
+	payloads := make(map[string][]byte, len(man.Subs))
+	for _, p := range man.Subs {
+		payloads[p.Name] = p.Data
+	}
 	for _, s := range m.subs {
 		e, ok := s.(Exporter)
 		if !ok {
 			continue
 		}
-		sub, ok := man.Subs[e.CrashName()]
+		sub, ok := payloads[e.CrashName()]
 		if !ok {
 			continue
 		}

@@ -70,8 +70,8 @@ type Config struct {
 // with: enough sockets and memory for a round of well-behaved traffic,
 // and a kernel-heap budget small enough that a gobbler hits denial
 // within one invocation.
-func DefaultTenantLimits() map[resource.Kind]int64 {
-	return map[resource.Kind]int64{
+func DefaultTenantLimits() resource.Amounts {
+	return resource.Amounts{
 		resource.Sockets:    64,
 		resource.Memory:     1 << 20,
 		resource.KernelHeap: 16 << 10,
@@ -374,7 +374,9 @@ func runInstance(cfg Config, id int, dir string) *InstanceResult {
 		// The abusive tenant's socket grant is deliberately under its
 		// arrival rate: the surplus is denied at accept, the §3.2
 		// denial-not-degradation edge.
-		in.treg.Lookup("abuser").Account.SetLimit(resource.Sockets, 2)
+		limits := DefaultTenantLimits()
+		limits[resource.Sockets] = 2
+		in.treg.Lookup("abuser").Account.SetLimits(limits)
 	}
 	in.boot()
 

@@ -2,6 +2,7 @@ package fs
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/gob"
 	"fmt"
 	"slices"
@@ -56,14 +57,6 @@ type fsSnap struct {
 	// copied is the block payload this capture copied rather than
 	// shared with its predecessor (see SnapshotBytes).
 	copied int64
-}
-
-func copyDirty(m map[int64][]byte) map[int64][]byte {
-	out := make(map[int64][]byte, len(m))
-	for b, d := range m {
-		out[b] = append([]byte(nil), d...)
-	}
-	return out
 }
 
 // CrashName implements crash.Snapshotter.
@@ -220,13 +213,20 @@ func (fs *FS) CrashRestore(snap any) {
 }
 
 // fileExport is one file's durable (on-disk) image: identity, size and
-// the dirty blocks that differ from the deterministic pristine pattern.
+// the dirty blocks that differ from the deterministic pristine pattern,
+// in block order.
 type fileExport struct {
 	Name   string
 	Size   int64
 	Owner  int64
 	Public bool
-	Dirty  map[int64][]byte
+	Dirty  []blockExport
+}
+
+// blockExport is one dirty block's contents.
+type blockExport struct {
+	Block int64
+	Data  []byte
 }
 
 // fsExport is the file system's durable image. Directories ride along;
@@ -247,10 +247,12 @@ func (fs *FS) CrashExport() ([]byte, error) {
 	sort.Strings(names)
 	for _, n := range names {
 		f := fs.files[n]
-		ex.Files = append(ex.Files, fileExport{
-			Name: f.Name, Size: f.Size, Owner: int64(f.Owner), Public: f.Public,
-			Dirty: copyDirty(f.dirty),
-		})
+		fe := fileExport{Name: f.Name, Size: f.Size, Owner: int64(f.Owner), Public: f.Public}
+		for b, d := range f.dirty {
+			fe.Dirty = append(fe.Dirty, blockExport{Block: b, Data: d})
+		}
+		slices.SortFunc(fe.Dirty, func(x, y blockExport) int { return cmp.Compare(x.Block, y.Block) })
+		ex.Files = append(ex.Files, fe)
 	}
 	for d := range fs.dirs {
 		ex.Dirs = append(ex.Dirs, d)
@@ -275,12 +277,12 @@ func (fs *FS) CrashImport(data []byte) error {
 	}
 	for _, fe := range ex.Files {
 		f := fs.Create(fe.Name, fe.Size, graft.UID(fe.Owner), fe.Public)
-		for b, d := range fe.Dirty {
-			if b < 0 || b >= f.Blocks() || len(d) != BlockSize {
-				return fmt.Errorf("fs: import %q: bad block %d (%d bytes)", fe.Name, b, len(d))
+		for _, d := range fe.Dirty {
+			if d.Block < 0 || d.Block >= f.Blocks() || len(d.Data) != BlockSize {
+				return fmt.Errorf("fs: import %q: bad block %d (%d bytes)", fe.Name, d.Block, len(d.Data))
 			}
+			f.dirty[d.Block] = d.Data
 		}
-		f.dirty = copyDirty(fe.Dirty)
 	}
 	return nil
 }

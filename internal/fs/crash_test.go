@@ -106,7 +106,7 @@ func TestCrashImportRejectsBadBlocks(t *testing.T) {
 	}{{-1, BlockSize}, {4, BlockSize}, {0, 10}} {
 		ex := &fsExport{Files: []fileExport{{
 			Name: "db", Size: 4 * BlockSize,
-			Dirty: map[int64][]byte{c.block: make([]byte, c.size)},
+			Dirty: []blockExport{{Block: c.block, Data: make([]byte, c.size)}},
 		}}}
 		var buf bytes.Buffer
 		if err := gob.NewEncoder(&buf).Encode(ex); err != nil {

@@ -54,7 +54,7 @@ func TestInKernelFileServer(t *testing.T) {
 	var served []byte
 	k.SpawnProcess("nfsd", 50, func(p *kernel.Process) {
 		g, err := p.BuildAndInstall(port.Point().Name, fileServerSrc, graft.InstallOptions{
-			Transfer: map[resource.Kind]int64{resource.Memory: 8 << 10},
+			Transfer: resource.Amounts{resource.Memory: 8 << 10},
 		})
 		if err != nil {
 			t.Errorf("install: %v", err)
@@ -117,7 +117,7 @@ func TestFileServerPermissionRidesOnInstaller(t *testing.T) {
 		p.Thread.Yield() // let the owner open first
 		var err error
 		g, err = p.BuildAndInstall(port.Point().Name, fileServerSrc, graft.InstallOptions{
-			Transfer: map[resource.Kind]int64{resource.Memory: 8 << 10},
+			Transfer: resource.Amounts{resource.Memory: 8 << 10},
 		})
 		if err != nil {
 			t.Errorf("install: %v", err)

@@ -57,7 +57,7 @@ func TestMultiInstallerPooling(t *testing.T) {
 
 	run := func(name string, uid UID, body func(th *sched.Thread, acct *resource.Account)) *resource.Account {
 		acct := resource.NewAccount(name)
-		acct.SetLimit(resource.KernelHeap, 8192)
+		acct.SetLimits(resource.Amounts{resource.KernelHeap: 8192})
 		e.s.Spawn(name, func(th *sched.Thread) {
 			SetThreadIdentity(th, uid, acct)
 			body(th, acct)
@@ -67,7 +67,7 @@ func TestMultiInstallerPooling(t *testing.T) {
 	a := run("installer-a", 100, func(th *sched.Thread, _ *resource.Account) {
 		if _, err := e.reg.Install(th, "pa", img, InstallOptions{
 			Account:  pool,
-			Transfer: map[resource.Kind]int64{resource.KernelHeap: 6000},
+			Transfer: resource.Amounts{resource.KernelHeap: 6000},
 		}); err != nil {
 			t.Errorf("installer-a: %v", err)
 		}
@@ -75,7 +75,7 @@ func TestMultiInstallerPooling(t *testing.T) {
 	b := run("installer-b", 101, func(th *sched.Thread, _ *resource.Account) {
 		if _, err := e.reg.Install(th, "pb", img, InstallOptions{
 			Account:  pool,
-			Transfer: map[resource.Kind]int64{resource.KernelHeap: 4000},
+			Transfer: resource.Amounts{resource.KernelHeap: 4000},
 		}); err != nil {
 			t.Errorf("installer-b: %v", err)
 		}
@@ -126,7 +126,7 @@ func TestTransferExceedingDonorFailsInstall(t *testing.T) {
 	img := e.buildSafe(t, doubleSrc)
 	pool := resource.NewAccount("pool")
 	acct := resource.NewAccount("donor")
-	acct.SetLimit(resource.KernelHeap, 1000)
+	acct.SetLimits(resource.Amounts{resource.KernelHeap: 1000})
 	e.s.Spawn("donor", func(th *sched.Thread) {
 		SetThreadIdentity(th, 100, acct)
 		// Spend part of the grant: remaining headroom is 1000-600=400.
@@ -135,7 +135,7 @@ func TestTransferExceedingDonorFailsInstall(t *testing.T) {
 		}
 		_, err := e.reg.Install(th, "p", img, InstallOptions{
 			Account:  pool,
-			Transfer: map[resource.Kind]int64{resource.KernelHeap: 500},
+			Transfer: resource.Amounts{resource.KernelHeap: 500},
 		})
 		var le *resource.LimitError
 		if !errors.As(err, &le) {
@@ -150,6 +150,43 @@ func TestTransferExceedingDonorFailsInstall(t *testing.T) {
 	}
 	if got := pool.Limit(resource.KernelHeap); got != 0 {
 		t.Errorf("pool limit = %d after failed transfer, want 0", got)
+	}
+	if e.reg.Stats().Installs != 0 {
+		t.Error("install counted despite transfer failure")
+	}
+}
+
+// TestMultiKindTransferFailsWhole: an install transferring two kinds,
+// one covered and one not, is rejected without moving either. Kernel
+// heap precedes memory in kind order, so a transfer that moved kinds
+// one at a time would give away the heap grant before the memory check
+// refused the install.
+func TestMultiKindTransferFailsWhole(t *testing.T) {
+	e := newEnv()
+	e.reg.RegisterPoint(newFnPoint("p"))
+	img := e.buildSafe(t, doubleSrc)
+	limits := resource.Amounts{resource.KernelHeap: 8192, resource.Memory: 1000}
+	acct := resource.NewAccount("installer")
+	acct.SetLimits(limits)
+	e.s.Spawn("installer", func(th *sched.Thread) {
+		SetThreadIdentity(th, 100, acct)
+		// Memory headroom is zero; kernel-heap headroom is the full grant.
+		if err := acct.Charge(resource.Memory, 1000); err != nil {
+			t.Errorf("setup charge: %v", err)
+		}
+		_, err := e.reg.Install(th, "p", img, InstallOptions{
+			Transfer: resource.Amounts{resource.KernelHeap: 4096, resource.Memory: 1},
+		})
+		var le *resource.LimitError
+		if !errors.As(err, &le) || le.Kind != resource.Memory {
+			t.Errorf("install err = %v, want Memory LimitError", err)
+		}
+	})
+	if err := e.s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := acct.Limits(); got != limits {
+		t.Errorf("installer limits = %v after rejected install, want %v", got, limits)
 	}
 	if e.reg.Stats().Installs != 0 {
 		t.Error("install counted despite transfer failure")
@@ -195,13 +232,13 @@ main:
 `)
 	e.run(t, 1, func(th *sched.Thread, procAcct *resource.Account) {
 		gi, err := e.reg.Install(th, "inner", innerImg, InstallOptions{
-			Transfer: map[resource.Kind]int64{resource.KernelHeap: 512},
+			Transfer: resource.Amounts{resource.KernelHeap: 512},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		go_, err := e.reg.Install(th, "outer", outerImg, InstallOptions{
-			Transfer: map[resource.Kind]int64{resource.KernelHeap: 4096},
+			Transfer: resource.Amounts{resource.KernelHeap: 4096},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -255,7 +292,7 @@ main:
 `)
 	e.run(t, 1, func(th *sched.Thread, _ *resource.Account) {
 		g, err := e.reg.Install(th, "p", img, InstallOptions{
-			Transfer: map[resource.Kind]int64{resource.KernelHeap: 8192},
+			Transfer: resource.Amounts{resource.KernelHeap: 8192},
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -47,8 +47,7 @@ func (e *env) buildSafe(t testing.TB, src string) *sfi.Image {
 func (e *env) run(t *testing.T, uid UID, body func(th *sched.Thread, acct *resource.Account)) {
 	t.Helper()
 	acct := resource.NewAccount("proc")
-	acct.SetLimit(resource.KernelHeap, 1<<20)
-	acct.SetLimit(resource.Memory, 1<<20)
+	acct.SetLimits(resource.Amounts{resource.KernelHeap: 1 << 20, resource.Memory: 1 << 20})
 	e.s.Spawn("proc", func(th *sched.Thread) {
 		SetThreadIdentity(th, uid, acct)
 		body(th, acct)
@@ -160,9 +159,13 @@ main:
     callk kernel.shutdown
     ret
 `)
-	e.run(t, 100, func(th *sched.Thread, _ *resource.Account) {
-		if _, err := e.reg.Install(th, "p", img, InstallOptions{}); !errors.Is(err, ErrNotCallable) {
+	e.run(t, 100, func(th *sched.Thread, acct *resource.Account) {
+		opts := InstallOptions{Transfer: resource.Amounts{resource.KernelHeap: 4096}}
+		if _, err := e.reg.Install(th, "p", img, opts); !errors.Is(err, ErrNotCallable) {
 			t.Errorf("Install = %v, want ErrNotCallable", err)
+		}
+		if got := acct.Limit(resource.KernelHeap); got != 1<<20 {
+			t.Errorf("installer kernel-heap limit = %d after link failure, want %d", got, 1<<20)
 		}
 	})
 	if e.reg.Stats().LinkFails != 1 {
@@ -379,7 +382,7 @@ main:
 		// Re-install with a transfer: the same allocation succeeds, and
 		// the usage lands on the graft's account, not the process's.
 		g2, err := e.reg.Install(th, "p", img, InstallOptions{
-			Transfer: map[resource.Kind]int64{resource.KernelHeap: 8192},
+			Transfer: resource.Amounts{resource.KernelHeap: 8192},
 		})
 		if err != nil {
 			t.Fatal(err)

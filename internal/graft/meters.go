@@ -25,12 +25,12 @@ func NewMeters(r *Registry) *Meters { return &Meters{reg: r} }
 // CrashName implements crash.Snapshotter.
 func (m *Meters) CrashName() string { return "graft-meters" }
 
-// CrashSnapshot implements crash.Snapshotter: a deep copy of every
+// CrashSnapshot implements crash.Snapshotter: a copy of every
 // install-bound account's balances. It never reuses prev — the set is
 // small and balances churn every round, so change tracking would buy
 // nothing.
 func (m *Meters) CrashSnapshot(prev any, sinceGen uint64) any {
-	snaps := make(map[*resource.Account]*resource.AccountSnap, len(m.reg.meterAccounts))
+	snaps := make(map[*resource.Account]resource.AccountSnap, len(m.reg.meterAccounts))
 	for a := range m.reg.meterAccounts {
 		snaps[a] = a.Snapshot()
 	}
@@ -43,7 +43,7 @@ func (m *Meters) CrashSnapshot(prev any, sinceGen uint64) any {
 // are written off with their owner (shared tenant accounts are in the
 // snapshot from their first install onward).
 func (m *Meters) CrashRestore(snap any) {
-	for a, s := range snap.(map[*resource.Account]*resource.AccountSnap) {
+	for a, s := range snap.(map[*resource.Account]resource.AccountSnap) {
 		a.RestoreSnapshot(s)
 	}
 }

@@ -229,8 +229,8 @@ type InstallOptions struct {
 	// thread's account instead of the graft's own (zero-limit) account.
 	BillInstaller bool
 	// Transfer moves limits from the installer's account into the
-	// graft's at install time.
-	Transfer map[resource.Kind]int64
+	// graft's at install time, all or nothing.
+	Transfer resource.Amounts
 	// Order positions an event handler (lower runs first).
 	Order int
 	// AllowUnsafe requests installation of an unrewritten image; only
@@ -325,20 +325,21 @@ func (r *Registry) Install(t *sched.Thread, pointName string, img *sfi.Image, op
 			return nil, err
 		}
 	}
-	for kind, n := range opts.Transfer {
+	if err := r.link(g); err != nil {
+		r.stats.InstallRejects++
+		return nil, err
+	}
+	// The transfer is the last step that can fail, so a rejected
+	// install never strands limit in an account it discards.
+	if opts.Transfer != (resource.Amounts{}) {
 		if installerAcct == nil {
 			r.stats.InstallRejects++
 			return nil, fmt.Errorf("graft: Transfer with no installer account")
 		}
-		if err := installerAcct.Transfer(g.Account, kind, n); err != nil {
+		if err := installerAcct.Transfer(g.Account, opts.Transfer); err != nil {
 			r.stats.InstallRejects++
 			return nil, err
 		}
-	}
-
-	if err := r.link(g); err != nil {
-		r.stats.InstallRejects++
-		return nil, err
 	}
 
 	r.attach(g)
@@ -837,7 +838,7 @@ type graftRecord struct {
 	Owner   int64
 	Order   int
 	Account string
-	Limits  map[resource.Kind]int64
+	Limits  resource.Amounts
 }
 
 // registryExport is the graft registry's durable image.
@@ -882,18 +883,13 @@ func (r *Registry) CrashExport() ([]byte, error) {
 			Owner:   int64(g.Owner),
 			Order:   g.Order,
 			Account: g.Account.Name(),
-			Limits:  make(map[resource.Kind]int64),
+			Limits:  g.Account.Limits(),
 		}
 		if g.Image.Safe {
 			rec.Image = g.Image.EncodeSigned()
 		} else {
 			rec.Image = g.Image.Encode()
 			rec.Unsafe = true
-		}
-		for _, kind := range g.Account.Kinds() {
-			if n := g.Account.Limit(kind); n != 0 {
-				rec.Limits[kind] = n
-			}
 		}
 		ex.Grafts = append(ex.Grafts, rec)
 	}
@@ -946,9 +942,7 @@ func (r *Registry) CrashImport(data []byte) error {
 		acct, ok := accts[rec.Account]
 		if !ok {
 			acct = resource.NewAccount(rec.Account)
-			for kind, n := range rec.Limits {
-				acct.SetLimit(kind, n)
-			}
+			acct.SetLimits(rec.Limits)
 			accts[rec.Account] = acct
 		}
 		pg := &pendingGraft{

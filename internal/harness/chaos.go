@@ -565,7 +565,7 @@ func (c *chaosRun) injectGraftFault(p *kernel.Process, key string) error {
 
 	opts := graft.InstallOptions{}
 	if key == fault.GraftBlowout {
-		opts.Transfer = map[resource.Kind]int64{resource.KernelHeap: c.drawTransfer(32 << 10)}
+		opts.Transfer = resource.Amounts{resource.KernelHeap: c.drawTransfer(32 << 10)}
 	}
 	g, err := p.BuildAndInstall(ptName, fault.GraftSource(key), opts)
 	if err != nil {
@@ -843,7 +843,7 @@ out:
 	c.k.SpawnProcess("chaos-net", graft.Root, func(p *kernel.Process) {
 		install := func() error {
 			_, err := p.BuildAndInstall(port.Point().Name, echoSrc, graft.InstallOptions{
-				Transfer: map[resource.Kind]int64{resource.Memory: c.drawTransfer(4096)},
+				Transfer: resource.Amounts{resource.Memory: c.drawTransfer(4096)},
 				Order:    c.drawOrder(),
 			})
 			return err

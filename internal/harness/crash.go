@@ -161,7 +161,7 @@ func (c *chaosRun) spawnCrashWork(i int) {
 		ptName := fmt.Sprintf("crash/%d.fn", c.nCrash)
 		pt := c.chaosEchoPoint(ptName)
 		g, err := p.BuildAndInstall(ptName, fault.GraftSource(fault.GraftAllocFree), graft.InstallOptions{
-			Transfer: map[resource.Kind]int64{resource.KernelHeap: 8 << 10},
+			Transfer: resource.Amounts{resource.KernelHeap: 8 << 10},
 		})
 		if err != nil {
 			c.violate("crash work %d: install %s: %v", i, fault.GraftAllocFree, err)
@@ -211,7 +211,7 @@ func (c *chaosRun) spawnCrashBad(i int) {
 		pt := c.chaosEchoPoint(ptName)
 		opts := graft.InstallOptions{}
 		if key == fault.GraftBlowout {
-			opts.Transfer = map[resource.Kind]int64{resource.KernelHeap: 16 << 10}
+			opts.Transfer = resource.Amounts{resource.KernelHeap: 16 << 10}
 		}
 		g, err := p.BuildAndInstall(ptName, fault.GraftSource(key), opts)
 		if err != nil {

@@ -266,7 +266,7 @@ func (k *Kernel) Shutdown() { k.Sched.Shutdown() }
 type kernelSnap struct {
 	log      []string
 	procs    map[string]*Process
-	accounts map[string]*resource.AccountSnap
+	accounts map[string]resource.AccountSnap
 	nextPID  int
 }
 
@@ -283,7 +283,7 @@ func (k *Kernel) CrashSnapshot(prev any, sinceGen uint64) any {
 	s := &kernelSnap{
 		log:      k.log[:len(k.log):len(k.log)],
 		procs:    make(map[string]*Process, len(k.processes)),
-		accounts: make(map[string]*resource.AccountSnap, len(k.processes)),
+		accounts: make(map[string]resource.AccountSnap, len(k.processes)),
 		nextPID:  k.nextPID,
 	}
 	if prev == nil {
@@ -546,7 +546,7 @@ type Process struct {
 
 // ProcessLimits are the default resource limits granted to a new
 // process.
-var ProcessLimits = map[resource.Kind]int64{
+var ProcessLimits = resource.Amounts{
 	resource.Memory:      8 << 20,
 	resource.WiredMemory: 1 << 20,
 	resource.KernelHeap:  256 << 10,
@@ -560,9 +560,7 @@ var ProcessLimits = map[resource.Kind]int64{
 func (k *Kernel) SpawnProcess(name string, uid graft.UID, body func(p *Process)) *Process {
 	k.nextPID++
 	acct := resource.NewAccount(fmt.Sprintf("proc:%s/%d", name, k.nextPID))
-	for kind, n := range ProcessLimits {
-		acct.SetLimit(kind, n)
-	}
+	acct.SetLimits(ProcessLimits)
 	p := &Process{Name: name, UID: uid, Account: acct, kernel: k}
 	p.Thread = k.Sched.Spawn(name, func(t *sched.Thread) {
 		graft.SetThreadIdentity(t, uid, acct)

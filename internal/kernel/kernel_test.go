@@ -157,7 +157,7 @@ main:
     div r0, r1, r2
     ret
 `, graft.InstallOptions{
-			Transfer: map[resource.Kind]int64{resource.KernelHeap: 4096},
+			Transfer: resource.Amounts{resource.KernelHeap: 4096},
 		})
 		if err != nil {
 			t.Errorf("install: %v", err)

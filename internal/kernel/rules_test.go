@@ -125,7 +125,7 @@ loop:
     callk vino.kheap_alloc
     jmp loop
 `, graft.InstallOptions{
-			Transfer: map[resource.Kind]int64{resource.KernelHeap: 64 << 10},
+			Transfer: resource.Amounts{resource.KernelHeap: 64 << 10},
 		}); err != nil {
 			t.Errorf("install: %v", err)
 			return

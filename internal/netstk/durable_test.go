@@ -32,7 +32,7 @@ func TestDurableRestoreListenersAndGrafts(t *testing.T) {
 	port := n1.Listen("tcp", 80)
 	k1.SpawnProcess("server", 7, func(p *kernel.Process) {
 		if _, err := p.BuildAndInstall(port.Point().Name, httpGraftSrc, graft.InstallOptions{
-			Transfer: map[resource.Kind]int64{resource.Memory: 4096},
+			Transfer: resource.Amounts{resource.Memory: 4096},
 		}); err != nil {
 			t.Errorf("install: %v", err)
 			return

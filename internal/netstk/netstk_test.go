@@ -47,7 +47,7 @@ func TestListenConnectServe(t *testing.T) {
 	var conn *Conn
 	k.SpawnProcess("server", 7, func(p *kernel.Process) {
 		if _, err := p.BuildAndInstall(port.Point().Name, httpGraftSrc, graft.InstallOptions{
-			Transfer: map[resource.Kind]int64{resource.Memory: 4096},
+			Transfer: resource.Amounts{resource.Memory: 4096},
 		}); err != nil {
 			t.Errorf("install: %v", err)
 			return
@@ -125,7 +125,7 @@ main:
     movi r4, 0
     div r0, r3, r4    ; trap after writing
     ret
-`, graft.InstallOptions{Transfer: map[resource.Kind]int64{resource.Memory: 4096}})
+`, graft.InstallOptions{Transfer: resource.Amounts{resource.Memory: 4096}})
 		if err != nil {
 			t.Errorf("install: %v", err)
 			return
@@ -177,7 +177,7 @@ main:
 		opts := func(order int) graft.InstallOptions {
 			return graft.InstallOptions{
 				Order:    order,
-				Transfer: map[resource.Kind]int64{resource.Memory: 64},
+				Transfer: resource.Amounts{resource.Memory: 64},
 			}
 		}
 		if _, err := p.BuildAndInstall(port.Point().Name, mk("B", 2), opts(2)); err != nil {
@@ -226,7 +226,7 @@ loop:
     movi r3, 16
     callk net.write
     jmp loop
-`, graft.InstallOptions{Transfer: map[resource.Kind]int64{resource.Memory: 256}}); err != nil {
+`, graft.InstallOptions{Transfer: resource.Amounts{resource.Memory: 256}}); err != nil {
 			t.Errorf("install: %v", err)
 			return
 		}
@@ -276,7 +276,7 @@ loop:
     jmp loop
 done:
     ret
-`, graft.InstallOptions{Transfer: map[resource.Kind]int64{resource.Memory: 4096}}); err != nil {
+`, graft.InstallOptions{Transfer: resource.Amounts{resource.Memory: 4096}}); err != nil {
 			t.Errorf("install: %v", err)
 			return
 		}

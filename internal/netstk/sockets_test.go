@@ -38,7 +38,7 @@ func TestAcceptSocketDenial(t *testing.T) {
 	k.SpawnProcess("server", 7, func(p *kernel.Process) {
 		var err error
 		g, err = p.BuildAndInstall(port.Point().Name, holdGraftSrc, graft.InstallOptions{
-			Transfer: map[resource.Kind]int64{resource.Sockets: 2},
+			Transfer: resource.Amounts{resource.Sockets: 2},
 		})
 		if err != nil {
 			t.Errorf("install: %v", err)
@@ -92,7 +92,7 @@ func TestCloseReleasesSocket(t *testing.T) {
 	k.SpawnProcess("server", 7, func(p *kernel.Process) {
 		var err error
 		g, err = p.BuildAndInstall(port.Point().Name, httpGraftSrc, graft.InstallOptions{
-			Transfer: map[resource.Kind]int64{
+			Transfer: resource.Amounts{
 				resource.Sockets: 1,
 				resource.Memory:  4096,
 			},

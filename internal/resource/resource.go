@@ -13,25 +13,37 @@
 // When a thread invokes a grafted function, the kernel swaps the thread's
 // account for the graft's, so the same mechanism that stops a process
 // from exceeding its limits automatically applies to the graft.
+//
+// The set of kinds is closed: Kind is a dense index, and every limit,
+// usage, transfer and snapshot is an Amounts vector with one slot per
+// kind, so copying or restoring an account's balances is a value
+// assignment.
 package resource
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
-// Kind names a quantity-constrained resource.
-type Kind string
+// Kind names a quantity-constrained resource. It indexes Amounts.
+type Kind int
 
-// Resource kinds used by the simulated kernel. Users may define their own.
+// Resource kinds used by the simulated kernel, in name order.
 const (
-	Memory      Kind = "memory"       // heap pages, bytes
-	WiredMemory Kind = "wired-memory" // unevictable pages, bytes
-	KernelHeap  Kind = "kernel-heap"  // graft heap allocations, bytes
-	Threads     Kind = "threads"      // spawned worker threads
-	Sockets     Kind = "sockets"      // open network endpoints
-	DiskBuffers Kind = "disk-buffers" // prefetch queue slots
+	DiskBuffers Kind = iota // prefetch queue slots
+	KernelHeap              // graft heap allocations, bytes
+	Memory                  // heap pages, bytes
+	Sockets                 // open network endpoints
+	Threads                 // spawned worker threads
+	WiredMemory             // unevictable pages, bytes
+	numKinds
 )
+
+var kindNames = [numKinds]string{"disk-buffers", "kernel-heap", "memory", "sockets", "threads", "wired-memory"}
+
+// String returns the kind's name as it appears in diagnostics.
+func (k Kind) String() string { return kindNames[k] }
+
+// Amounts is one quantity per resource kind, indexed by Kind:
+// Amounts{Memory: 16 << 10} grants 16 KiB of memory and nothing else.
+type Amounts [numKinds]int64
 
 // LimitError reports an allocation denied because it would exceed the
 // account's limit — the graft's request fails exactly as the process's
@@ -54,24 +66,14 @@ func (e *LimitError) Error() string {
 // is single-threaded by construction.
 type Account struct {
 	name   string
-	limit  map[Kind]int64
-	used   map[Kind]int64
-	high   map[Kind]int64
+	bal    AccountSnap // limits, usage, high-water marks and denials
 	billTo *Account
-	denied int64
 }
 
 // NewAccount creates an empty account: every limit is zero, so every
 // allocation fails until limits are granted. This is the paper's "when a
 // graft is installed, it initially has limits of zero".
-func NewAccount(name string) *Account {
-	return &Account{
-		name:  name,
-		limit: make(map[Kind]int64),
-		used:  make(map[Kind]int64),
-		high:  make(map[Kind]int64),
-	}
-}
+func NewAccount(name string) *Account { return &Account{name: name} }
 
 // Name returns the account's diagnostic name.
 func (a *Account) Name() string { return a.name }
@@ -98,32 +100,37 @@ func (a *Account) Billed() *Account {
 	return b
 }
 
-// SetLimit assigns an absolute limit for kind. It is intended for root
-// process accounts; grafts receive limits via Transfer.
-func (a *Account) SetLimit(kind Kind, n int64) {
-	if n < 0 {
-		panic("resource: negative limit")
+// SetLimits assigns absolute limits for every kind. It is intended for
+// root process and tenant accounts; grafts receive limits via Transfer.
+func (a *Account) SetLimits(l Amounts) {
+	for _, n := range l {
+		if n < 0 {
+			panic("resource: negative limit")
+		}
 	}
-	a.limit[kind] = n
+	a.bal.limit = l
 }
 
+// Limits returns the account's limit for every kind.
+func (a *Account) Limits() Amounts { return a.bal.limit }
+
 // Limit returns the account's limit for kind (zero if never granted).
-func (a *Account) Limit(kind Kind) int64 { return a.limit[kind] }
+func (a *Account) Limit(kind Kind) int64 { return a.bal.limit[kind] }
 
 // Used returns the account's current usage of kind.
-func (a *Account) Used(kind Kind) int64 { return a.used[kind] }
+func (a *Account) Used(kind Kind) int64 { return a.bal.used[kind] }
 
 // HighWater returns the account's peak usage of kind.
-func (a *Account) HighWater(kind Kind) int64 { return a.high[kind] }
+func (a *Account) HighWater(kind Kind) int64 { return a.bal.high[kind] }
 
 // Available returns limit minus usage for kind on the paying account.
 func (a *Account) Available(kind Kind) int64 {
-	b := a.Billed()
+	b := &a.Billed().bal
 	return b.limit[kind] - b.used[kind]
 }
 
 // Denials returns how many charges this account has had refused.
-func (a *Account) Denials() int64 { return a.Billed().denied }
+func (a *Account) Denials() int64 { return a.Billed().bal.denied }
 
 // Charge requests n units of kind. The charge lands on the paying account
 // (this one, or the billing target). It returns a *LimitError, leaving
@@ -132,10 +139,11 @@ func (a *Account) Charge(kind Kind, n int64) error {
 	if n < 0 {
 		panic("resource: negative charge; use Release")
 	}
-	b := a.Billed()
+	p := a.Billed()
+	b := &p.bal
 	if b.used[kind]+n > b.limit[kind] {
 		b.denied++
-		return &LimitError{Account: b.name, Kind: kind, Request: n, Used: b.used[kind], Limit: b.limit[kind]}
+		return &LimitError{Account: p.name, Kind: kind, Request: n, Used: b.used[kind], Limit: b.limit[kind]}
 	}
 	b.used[kind] += n
 	if b.used[kind] > b.high[kind] {
@@ -151,87 +159,60 @@ func (a *Account) Release(kind Kind, n int64) {
 	if n < 0 {
 		panic("resource: negative release; use Charge")
 	}
-	b := a.Billed()
-	b.used[kind] -= n
-	if b.used[kind] < 0 {
-		b.used[kind] = 0
-	}
+	b := &a.Billed().bal
+	b.used[kind] = max(b.used[kind]-n, 0)
 }
 
 // Transfer moves limit (not usage) from this account to another: the
 // paper's "the installing thread may transfer arbitrary amounts from its
 // own limits to the newly installed graft". The source must have the
 // headroom: you cannot transfer limit that your own usage still needs.
-func (a *Account) Transfer(to *Account, kind Kind, n int64) error {
-	if n < 0 {
-		panic("resource: negative transfer")
+// The transfer is all-or-nothing: every kind's headroom is checked
+// before any limit moves, so a refused transfer changes neither account.
+func (a *Account) Transfer(to *Account, n Amounts) error {
+	for _, v := range n {
+		if v < 0 {
+			panic("resource: negative transfer")
+		}
 	}
 	if to == a {
 		return nil
 	}
-	if a.limit[kind]-a.used[kind] < n {
-		return &LimitError{Account: a.name, Kind: kind, Request: n, Used: a.used[kind], Limit: a.limit[kind]}
+	for k, v := range n {
+		if v > 0 && a.bal.limit[k]-a.bal.used[k] < v {
+			return &LimitError{Account: a.name, Kind: Kind(k), Request: v, Used: a.bal.used[k], Limit: a.bal.limit[k]}
+		}
 	}
-	a.limit[kind] -= n
-	to.limit[kind] += n
+	for k, v := range n {
+		a.bal.limit[k] -= v
+		to.bal.limit[k] += v
+	}
 	return nil
 }
 
-// AccountSnap is a deep copy of an account's balances, taken by the
-// crash checkpointer. The billing redirection is identity, not balance,
-// and is left alone by restores.
+// AccountSnap is a copy of an account's balances, taken by the crash
+// checkpointer. It is a value: the billing redirection is identity, not
+// balance, and is left alone by restores.
 type AccountSnap struct {
-	limit, used, high map[Kind]int64
+	limit, used, high Amounts
 	denied            int64
 }
 
-func copyKinds(m map[Kind]int64) map[Kind]int64 {
-	out := make(map[Kind]int64, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
-// Snapshot deep-copies the account's limits, usage, high-water marks
-// and denial count.
-func (a *Account) Snapshot() *AccountSnap {
-	return &AccountSnap{
-		limit:  copyKinds(a.limit),
-		used:   copyKinds(a.used),
-		high:   copyKinds(a.high),
-		denied: a.denied,
-	}
-}
+// Snapshot copies the account's limits, usage, high-water marks and
+// denial count.
+func (a *Account) Snapshot() AccountSnap { return a.bal }
 
 // RestoreSnapshot replaces the account's balances with a snapshot's.
-// The snapshot is copied, not aliased: restoring from the same snapshot
-// repeatedly always yields the same state.
-func (a *Account) RestoreSnapshot(s *AccountSnap) {
-	a.limit = copyKinds(s.limit)
-	a.used = copyKinds(s.used)
-	a.high = copyKinds(s.high)
-	a.denied = s.denied
-}
+func (a *Account) RestoreSnapshot(s AccountSnap) { a.bal = s }
 
-// Kinds returns the kinds with a nonzero limit or usage, sorted.
+// Kinds returns the kinds with a nonzero limit or usage, in name order.
 func (a *Account) Kinds() []Kind {
-	seen := make(map[Kind]bool)
-	for k, v := range a.limit {
-		if v != 0 {
-			seen[k] = true
+	var out []Kind
+	for k := Kind(0); k < numKinds; k++ {
+		if a.bal.limit[k] != 0 || a.bal.used[k] != 0 {
+			out = append(out, k)
 		}
 	}
-	for k, v := range a.used {
-		if v != 0 {
-			seen[k] = true
-		}
-	}
-	out := make([]Kind, 0, len(seen))
-	for k := range seen {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -242,7 +223,7 @@ func (a *Account) String() string {
 		s += fmt.Sprintf(" (billed to %q)", a.billTo.name)
 	}
 	for _, k := range a.Kinds() {
-		s += fmt.Sprintf(" %s=%d/%d", k, a.used[k], a.limit[k])
+		s += fmt.Sprintf(" %s=%d/%d", k, a.bal.used[k], a.bal.limit[k])
 	}
 	return s
 }

@@ -9,7 +9,7 @@ import (
 
 func TestChargeWithinLimit(t *testing.T) {
 	a := NewAccount("proc")
-	a.SetLimit(Memory, 100)
+	a.SetLimits(Amounts{Memory: 100})
 	if err := a.Charge(Memory, 60); err != nil {
 		t.Fatalf("Charge: %v", err)
 	}
@@ -23,7 +23,7 @@ func TestChargeWithinLimit(t *testing.T) {
 
 func TestChargeOverLimitFailsCleanly(t *testing.T) {
 	a := NewAccount("proc")
-	a.SetLimit(Memory, 100)
+	a.SetLimits(Amounts{Memory: 100})
 	if err := a.Charge(Memory, 50); err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestFreshGraftAccountHasZeroLimits(t *testing.T) {
 
 func TestReleaseClampsAtZero(t *testing.T) {
 	a := NewAccount("proc")
-	a.SetLimit(Memory, 10)
+	a.SetLimits(Amounts{Memory: 10})
 	if err := a.Charge(Memory, 5); err != nil {
 		t.Fatal(err)
 	}
@@ -66,8 +66,8 @@ func TestReleaseClampsAtZero(t *testing.T) {
 func TestTransferMovesLimit(t *testing.T) {
 	proc := NewAccount("proc")
 	graft := NewAccount("graft")
-	proc.SetLimit(Memory, 100)
-	if err := proc.Transfer(graft, Memory, 30); err != nil {
+	proc.SetLimits(Amounts{Memory: 100})
+	if err := proc.Transfer(graft, Amounts{Memory: 30}); err != nil {
 		t.Fatalf("Transfer: %v", err)
 	}
 	if proc.Limit(Memory) != 70 || graft.Limit(Memory) != 30 {
@@ -84,14 +84,14 @@ func TestTransferMovesLimit(t *testing.T) {
 func TestTransferRespectsOwnUsage(t *testing.T) {
 	proc := NewAccount("proc")
 	graft := NewAccount("graft")
-	proc.SetLimit(Memory, 100)
+	proc.SetLimits(Amounts{Memory: 100})
 	if err := proc.Charge(Memory, 80); err != nil {
 		t.Fatal(err)
 	}
-	if err := proc.Transfer(graft, Memory, 30); err == nil {
+	if err := proc.Transfer(graft, Amounts{Memory: 30}); err == nil {
 		t.Fatal("transfer of limit backing live usage succeeded")
 	}
-	if err := proc.Transfer(graft, Memory, 20); err != nil {
+	if err := proc.Transfer(graft, Amounts{Memory: 20}); err != nil {
 		t.Fatalf("legal transfer failed: %v", err)
 	}
 }
@@ -99,7 +99,7 @@ func TestTransferRespectsOwnUsage(t *testing.T) {
 func TestBilling(t *testing.T) {
 	proc := NewAccount("proc")
 	graft := NewAccount("graft")
-	proc.SetLimit(Memory, 100)
+	proc.SetLimits(Amounts{Memory: 100})
 	if err := graft.BillTo(proc); err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestBillingChain(t *testing.T) {
 	a := NewAccount("a")
 	b := NewAccount("b")
 	c := NewAccount("c")
-	a.SetLimit(Memory, 10)
+	a.SetLimits(Amounts{Memory: 10})
 	if err := b.BillTo(a); err != nil {
 		t.Fatal(err)
 	}
@@ -161,8 +161,8 @@ func TestPooledDelegation(t *testing.T) {
 	graft := NewAccount("bufpool-graft")
 	for i := 0; i < 4; i++ {
 		client := NewAccount("client")
-		client.SetLimit(WiredMemory, 25)
-		if err := client.Transfer(graft, WiredMemory, 25); err != nil {
+		client.SetLimits(Amounts{WiredMemory: 25})
+		if err := client.Transfer(graft, Amounts{WiredMemory: 25}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -176,7 +176,7 @@ func TestPooledDelegation(t *testing.T) {
 
 func TestHighWater(t *testing.T) {
 	a := NewAccount("a")
-	a.SetLimit(Memory, 100)
+	a.SetLimits(Amounts{Memory: 100})
 	_ = a.Charge(Memory, 70)
 	a.Release(Memory, 50)
 	_ = a.Charge(Memory, 30)
@@ -187,7 +187,7 @@ func TestHighWater(t *testing.T) {
 
 func TestStringIncludesKinds(t *testing.T) {
 	a := NewAccount("a")
-	a.SetLimit(Memory, 5)
+	a.SetLimits(Amounts{Memory: 5})
 	_ = a.Charge(Memory, 2)
 	s := a.String()
 	if !strings.Contains(s, "memory=2/5") {
@@ -201,7 +201,7 @@ func TestPropertyUsageNeverExceedsLimit(t *testing.T) {
 	f := func(ops []uint16, limitRaw uint16) bool {
 		limit := int64(limitRaw % 1000)
 		a := NewAccount("p")
-		a.SetLimit(Memory, limit)
+		a.SetLimits(Amounts{Memory: limit})
 		for _, op := range ops {
 			n := int64(op % 97)
 			if op%2 == 0 {
@@ -224,7 +224,7 @@ func TestPropertyUsageNeverExceedsLimit(t *testing.T) {
 func TestPropertyTransferConservesLimit(t *testing.T) {
 	f := func(moves []uint16) bool {
 		accts := []*Account{NewAccount("a"), NewAccount("b"), NewAccount("c")}
-		accts[0].SetLimit(Memory, 300)
+		accts[0].SetLimits(Amounts{Memory: 300})
 		total := func() int64 {
 			var s int64
 			for _, a := range accts {
@@ -236,7 +236,7 @@ func TestPropertyTransferConservesLimit(t *testing.T) {
 		for _, m := range moves {
 			from := accts[int(m)%3]
 			to := accts[int(m/3)%3]
-			_ = from.Transfer(to, Memory, int64(m%50))
+			_ = from.Transfer(to, Amounts{Memory: int64(m % 50)})
 			if total() != want {
 				return false
 			}
@@ -250,7 +250,7 @@ func TestPropertyTransferConservesLimit(t *testing.T) {
 
 func BenchmarkChargeRelease(b *testing.B) {
 	a := NewAccount("p")
-	a.SetLimit(Memory, 1<<40)
+	a.SetLimits(Amounts{Memory: 1 << 40})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := a.Charge(Memory, 4096); err != nil {
@@ -262,7 +262,7 @@ func BenchmarkChargeRelease(b *testing.B) {
 
 func BenchmarkBilledCharge(b *testing.B) {
 	p := NewAccount("p")
-	p.SetLimit(Memory, 1<<40)
+	p.SetLimits(Amounts{Memory: 1 << 40})
 	g := NewAccount("g")
 	if err := g.BillTo(p); err != nil {
 		b.Fatal(err)
@@ -273,5 +273,98 @@ func BenchmarkBilledCharge(b *testing.B) {
 			b.Fatal(err)
 		}
 		g.Release(Memory, 4096)
+	}
+}
+
+// The kind names, their order and the diagnostic text built from them
+// appear in trace dumps, audit messages and golden files; they are part
+// of the format.
+func TestKindNamesAndOrder(t *testing.T) {
+	want := []string{"disk-buffers", "kernel-heap", "memory", "sockets", "threads", "wired-memory"}
+	kinds := []Kind{DiskBuffers, KernelHeap, Memory, Sockets, Threads, WiredMemory}
+	if len(kinds) != int(numKinds) {
+		t.Fatalf("%d kinds listed, package has %d", len(kinds), numKinds)
+	}
+	for i, k := range kinds {
+		if int(k) != i {
+			t.Errorf("%s = %d, want %d", k, int(k), i)
+		}
+		if k.String() != want[i] {
+			t.Errorf("Kind(%d).String() = %q, want %q", i, k.String(), want[i])
+		}
+		if i > 0 && kinds[i-1].String() >= k.String() {
+			t.Errorf("constant order %s < %s disagrees with name order", kinds[i-1], k)
+		}
+	}
+}
+
+func TestDiagnosticText(t *testing.T) {
+	p := NewAccount("proc")
+	g := NewAccount("graft")
+	p.SetLimits(Amounts{WiredMemory: 7, Memory: 5, DiskBuffers: 3})
+	_ = p.Charge(Memory, 2)
+	if err := g.BillTo(p); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := p.String(), `account "proc" disk-buffers=0/3 memory=2/5 wired-memory=0/7`; got != want {
+		t.Errorf("String() = %q, want %q", got, want)
+	}
+	if got, want := g.String(), `account "graft" (billed to "proc")`; got != want {
+		t.Errorf("String() = %q, want %q", got, want)
+	}
+	err := g.Charge(Memory, 4)
+	want := `resource: account "proc" over limit for memory: request 4 with 2/5 used`
+	if err == nil || err.Error() != want {
+		t.Errorf("Charge error = %v, want %q", err, want)
+	}
+	if got := p.Kinds(); len(got) != 3 || got[0] != DiskBuffers || got[1] != Memory || got[2] != WiredMemory {
+		t.Errorf("Kinds() = %v", got)
+	}
+}
+
+func TestTransferAllOrNothing(t *testing.T) {
+	proc := NewAccount("proc")
+	graft := NewAccount("graft")
+	proc.SetLimits(Amounts{KernelHeap: 100, Memory: 10})
+	if err := proc.Charge(Memory, 10); err != nil {
+		t.Fatal(err)
+	}
+	err := proc.Transfer(graft, Amounts{KernelHeap: 50, Memory: 1})
+	var le *LimitError
+	if !errors.As(err, &le) || le.Kind != Memory || le.Request != 1 {
+		t.Fatalf("err = %v, want Memory LimitError", err)
+	}
+	if proc.Limits() != (Amounts{KernelHeap: 100, Memory: 10}) || graft.Limits() != (Amounts{}) {
+		t.Fatalf("refused transfer moved limit: proc %v graft %v", proc.Limits(), graft.Limits())
+	}
+	if err := proc.Transfer(graft, Amounts{KernelHeap: 50}); err != nil {
+		t.Fatal(err)
+	}
+	if proc.Limit(KernelHeap) != 50 || graft.Limit(KernelHeap) != 50 || graft.Limit(Memory) != 0 {
+		t.Fatalf("limits proc %v graft %v", proc.Limits(), graft.Limits())
+	}
+}
+
+// A snapshot is a value: restoring it does not alias the account's
+// balances, so restoring the same snapshot again gives the same state.
+func TestSnapshotRestoreTwice(t *testing.T) {
+	a := NewAccount("a")
+	a.SetLimits(Amounts{Memory: 100, Sockets: 4})
+	_ = a.Charge(Memory, 30)
+	_ = a.Charge(Sockets, 5) // denied
+	snap := a.Snapshot()
+
+	_ = a.Charge(Memory, 60)
+	a.RestoreSnapshot(snap)
+	first := *a
+	_ = a.Charge(Memory, 70)
+	_ = a.Charge(Sockets, 4)
+	a.SetLimits(Amounts{})
+	a.RestoreSnapshot(snap)
+	if *a != first {
+		t.Fatalf("second restore = %v, first = %v", a, &first)
+	}
+	if a.Used(Memory) != 30 || a.HighWater(Memory) != 30 || a.Limit(Sockets) != 4 || a.Denials() != 1 {
+		t.Fatalf("restored %v high=%d denials=%d", a, a.HighWater(Memory), a.Denials())
 	}
 }

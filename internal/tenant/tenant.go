@@ -66,7 +66,7 @@ type Policy struct {
 	BanExpulsions int
 	// Limits is the resource grant installed on each tenant's account
 	// at registration.
-	Limits map[resource.Kind]int64
+	Limits resource.Amounts
 }
 
 // DefaultPolicy throttles on the first expulsion and bans on the
@@ -164,9 +164,7 @@ func (r *Registry) Register(name string) *Tenant {
 		Account: resource.NewAccount("tenant:" + name),
 		grafts:  make(map[string]bool),
 	}
-	for kind, n := range r.policy.Limits {
-		t.Account.SetLimit(kind, n)
-	}
+	t.Account.SetLimits(r.policy.Limits)
 	r.tenants[name] = t
 	r.names = append(r.names, name)
 	return t

@@ -125,7 +125,7 @@ func TestEpochReset(t *testing.T) {
 // TestTenantAccountsIsolated: each tenant's account is its own meter —
 // limits granted by policy, charges on one tenant invisible to another.
 func TestTenantAccountsIsolated(t *testing.T) {
-	r := New(nil, nil, Policy{Limits: map[resource.Kind]int64{resource.Sockets: 2}})
+	r := New(nil, nil, Policy{Limits: resource.Amounts{resource.Sockets: 2}})
 	a := r.Register("a")
 	b := r.Register("b")
 	if err := a.Account.Charge(resource.Sockets, 2); err != nil {

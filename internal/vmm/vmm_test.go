@@ -299,7 +299,9 @@ func TestEvictionGraftCannotExpandFootprint(t *testing.T) {
 func TestMemoryQuotaBoundsResidency(t *testing.T) {
 	k, v := newTestVM(1024)
 	k.SpawnProcess("small", 7, func(p *kernel.Process) {
-		p.Account.SetLimit(resource.Memory, 8*PageSize)
+		limits := p.Account.Limits()
+		limits[resource.Memory] = 8 * PageSize
+		p.Account.SetLimits(limits)
 		vas := v.NewVAS(p.Thread)
 		for i := int64(0); i < 40; i++ {
 			vas.Touch(p.Thread, i)
