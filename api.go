@@ -608,7 +608,10 @@ func FaultGraftSource(key string) string { return fault.GraftSource(key) }
 type ChaosConfig = harness.ChaosConfig
 
 // ChaosReport is the outcome of a chaos run; Survived() is the verdict
-// and TraceDump the determinism artifact.
+// and TraceDump() the determinism artifact. The report keeps the run's
+// flight recorder and formats the dump only when TraceDump is called,
+// so runs that only need the verdict and counters (campaigns, the
+// benchmark) never format a trace.
 type ChaosReport = harness.ChaosReport
 
 // RunChaos builds a fault plan from the config's seed, runs read-ahead,

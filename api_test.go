@@ -171,7 +171,7 @@ func TestFaultSurfaceRoundTrip(t *testing.T) {
 	if !a.Survived() {
 		t.Fatalf("did not survive: %v (follow-up ok: %v)", a.Violations, a.FollowupOK)
 	}
-	if a.TraceDump != b.TraceDump {
+	if a.TraceDump() != b.TraceDump() {
 		t.Fatal("same seed produced different chaos traces")
 	}
 	if !errors.Is(vino.ErrFaultInjected, vino.ErrFaultInjected) {

@@ -190,6 +190,24 @@ func BenchmarkCheckpoint(b *testing.B) {
 	}
 }
 
+// BenchmarkChaosRun times one chaos run of the survival path — crash
+// phase, extended faults and the red-team corpus, the configuration of
+// the repository benchmark's chaos-crash workload — and reports its
+// allocation (B/op, allocs/op). Every op uses the same seed, so the
+// work per op is identical.
+func BenchmarkChaosRun(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		rep, err := vino.RunChaos(vino.ChaosConfig{Seed: 101, Crash: true, Extended: true, RedTeam: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !rep.Survived() {
+			b.Fatalf("chaos run did not survive: %q", rep.Violations)
+		}
+	}
+}
+
 // TestPublicFacade smoke-tests the root package aliases.
 func TestPublicFacade(t *testing.T) {
 	k := kernel.New(kernel.Config{ZeroTxnCosts: true})

@@ -156,7 +156,7 @@ func (c *chaosFlags) execute() error {
 		fmt.Print(report.GuardHealth.Table())
 	}
 	if showTrace {
-		fmt.Print(report.TraceDump)
+		fmt.Print(report.TraceDump())
 	}
 	if !report.Survived() {
 		if report.FatalPanic != "" {

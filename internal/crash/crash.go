@@ -211,7 +211,11 @@ type Snapshotter interface {
 	// CrashRestore replaces live state with an image previously
 	// returned by CrashSnapshot. Restore may run more than once from
 	// the same image (repeated crashes in one checkpoint window), so it
-	// must not consume or alias the image's internals.
+	// must never mutate the image. Live state may alias parts of the
+	// image that are never written — the file system installs an
+	// image's block slices, since a write replaces a block's slice
+	// rather than writing into it — and must copy any part it may
+	// mutate later.
 	CrashRestore(snap any)
 }
 

@@ -83,7 +83,10 @@ type Auditor interface {
 	// CrashAudit returns invariant inconsistencies in the live state;
 	// empty means consistent. It must be read-only and restricted to
 	// invariants that hold at any instant (not quiescence-only checks),
-	// since checkpoints may be taken with I/O logically in flight.
+	// since checkpoints may be taken with I/O logically in flight. It
+	// runs right after the captures and may check only the state the
+	// capture just took from live state, when every older part passed
+	// the audit of the capture that took it.
 	CrashAudit() []string
 }
 

@@ -19,19 +19,38 @@ import (
 // created and descriptors opened after the checkpoint vanish; their
 // stale handles fail closed.
 //
-// Images share state with their predecessor: a file with no write
-// since the previous capture reuses that capture's fileSnap outright,
-// and a written file clones the predecessor's block table and copies
-// only the blocks stamped since. Block slices in an image are never
-// written, so sharing them is safe.
+// Images share state with their predecessor and with the live file
+// system: a file with no write since the previous capture reuses that
+// capture's fileSnap outright, and a written file shares the
+// predecessor's block table except for the chunks holding blocks
+// stamped since. Block slices are never written in place — WriteAt
+// builds a new slice for every write, CrashImport installs freshly
+// decoded ones — so a capture takes the live slice itself and a
+// restore installs the image's slice itself; neither copies block
+// bytes.
 
-// fileSnap is one file's image. blocks is indexed by block number, nil
-// for pristine blocks: a dense table clones with one copy, where a map
-// of the dirty blocks would be rebuilt entry by entry. Writes keep
-// every dirty block inside the file, and CrashImport rejects any other.
+// blockChunk is the number of block slots in one chunk of a fileSnap's
+// block table.
+const blockChunk = 16
+
+// fileSnap is one file's image: a block table indexed by block number,
+// nil for pristine blocks. The table is split into chunks of blockChunk
+// slots, nil for an all-pristine chunk, and images share chunks: a
+// capture clones the short chunk index and copies only the chunks
+// holding blocks stamped since its predecessor, so it costs O(blocks
+// written), not a slot per block of the file. Writes keep every dirty
+// block inside the file, and CrashImport rejects any other.
 type fileSnap struct {
 	file   *File
-	blocks [][]byte
+	chunks [][][]byte
+}
+
+// block returns block b's slice in the image, nil when pristine.
+func (fsn *fileSnap) block(b int64) []byte {
+	if c := fsn.chunks[b/blockChunk]; c != nil {
+		return c[b%blockChunk]
+	}
+	return nil
 }
 
 type ofSnap struct {
@@ -54,9 +73,17 @@ type fsSnap struct {
 	nextFD  int
 	nextLBA int64
 	stats   Stats
-	// copied is the block payload this capture copied rather than
-	// shared with its predecessor (see SnapshotBytes).
+	// copied is the block payload this capture took from live state
+	// rather than shared with its predecessor (see SnapshotBytes).
 	copied int64
+}
+
+// capturedBlock is one block a capture took from live state, kept for
+// the audit that follows the capture.
+type capturedBlock struct {
+	file  *File
+	block int64
+	data  []byte
 }
 
 // CrashName implements crash.Snapshotter.
@@ -94,10 +121,11 @@ func (fs *FS) snapDirs() map[string]bool {
 }
 
 // CrashSnapshot implements crash.Snapshotter. Only blocks written (and
-// files created) after sinceGen are copied; everything else is shared
-// with prev, so the capture copies O(state changed) bytes. The small
-// volatile parts — directory set, descriptor table, counters — mutate
-// on nearly every operation and are copied whole.
+// files created) after sinceGen are taken from live state; everything
+// else is shared with prev, so the capture costs O(state changed). The
+// small volatile parts — directory set, descriptor table, counters —
+// mutate on nearly every operation and are copied whole. The blocks
+// taken are listed for CrashAudit.
 func (fs *FS) CrashSnapshot(prev any, sinceGen uint64) any {
 	p, _ := prev.(*fsSnap)
 	s := &fsSnap{
@@ -108,6 +136,8 @@ func (fs *FS) CrashSnapshot(prev any, sinceGen uint64) any {
 		nextLBA: fs.nextLBA,
 		stats:   fs.stats,
 	}
+	fs.captured = fs.captured[:0]
+	gen := fs.crashGen()
 	for n, f := range fs.files {
 		var pf *fileSnap
 		if p != nil && f.genCreated <= sinceGen {
@@ -115,40 +145,77 @@ func (fs *FS) CrashSnapshot(prev any, sinceGen uint64) any {
 				pf = x
 			}
 		}
-		if pf != nil && f.maxDirtyGen <= sinceGen {
-			s.files[n] = pf
-			continue
-		}
-		fsn := &fileSnap{file: f}
-		if pf == nil {
-			fsn.blocks = make([][]byte, f.Blocks())
-			for b, blk := range f.dirty {
-				fsn.blocks[b] = append([]byte(nil), blk...)
+		if pf == nil || f.maxDirtyGen > sinceGen {
+			fsn := &fileSnap{file: f}
+			take := func(b int64, blk []byte) {
+				fsn.chunks[b/blockChunk][b%blockChunk] = blk
 				s.copied += int64(len(blk))
+				fs.captured = append(fs.captured, capturedBlock{f, b, blk})
 			}
-		} else {
-			fsn.blocks = slices.Clone(pf.blocks)
-			for b, g := range f.dirtyGen {
-				if g <= sinceGen {
-					continue
+			if pf == nil {
+				fsn.chunks = make([][][]byte, (f.Blocks()+blockChunk-1)/blockChunk)
+				for b, blk := range f.dirty {
+					if fsn.chunks[b/blockChunk] == nil {
+						fsn.chunks[b/blockChunk] = make([][]byte, blockChunk)
+					}
+					take(b, blk)
 				}
-				if blk, ok := f.dirty[b]; ok {
-					fsn.blocks[b] = append([]byte(nil), blk...)
-					s.copied += int64(len(blk))
+			} else {
+				// stampedAfter is ascending, so each chunk is copied
+				// from prev once, before its first block lands.
+				fsn.chunks = slices.Clone(pf.chunks)
+				copied := int64(-1)
+				for _, b := range f.stampedAfter(sinceGen) {
+					blk, ok := f.dirty[b]
+					if !ok {
+						continue
+					}
+					if c := b / blockChunk; c != copied {
+						fsn.chunks[c] = make([][]byte, blockChunk)
+						copy(fsn.chunks[c], pf.chunks[c])
+						copied = c
+					}
+					take(b, blk)
 				}
 			}
+			pf = fsn
 		}
-		s.files[n] = fsn
+		s.files[n] = pf
+		f.stamped = f.stamped[:0]
+		f.stampedSince = gen
 	}
 	return s
 }
 
-// SnapshotBytes sizes a capture by the block payload it copied rather
-// than shared, the dominant term of a file-system checkpoint. A full
-// copy carries every dirty block; an incremental capture only the
-// blocks written since its predecessor. The checkpoint-cost sweep and
-// benchmark use it to show that incremental captures copy O(dirty)
-// bytes.
+// stampedAfter returns the blocks stamped after sinceGen, ascending. A
+// capture asks for the generation of the capture before it, which the
+// stamped list covers; an older sinceGen (a capture against some
+// earlier image) falls back to scanning every stamp.
+func (f *File) stampedAfter(sinceGen uint64) []int64 {
+	var out []int64
+	if sinceGen >= f.stampedSince {
+		for _, b := range f.stamped {
+			if f.dirtyGen[b] > sinceGen {
+				out = append(out, b)
+			}
+		}
+	} else {
+		for b, g := range f.dirtyGen {
+			if g > sinceGen {
+				out = append(out, b)
+			}
+		}
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// SnapshotBytes sizes a capture by the block payload it took from live
+// state rather than shared with its predecessor, the dominant term of a
+// file-system checkpoint. A full copy carries every dirty block; an
+// incremental capture only the blocks written since its predecessor.
+// The checkpoint-cost sweep and benchmark use it to show that
+// incremental captures take O(dirty) bytes.
 func SnapshotBytes(snap any) int64 {
 	s, ok := snap.(*fsSnap)
 	if !ok {
@@ -168,19 +235,27 @@ func (fs *FS) CrashRestore(snap any) {
 	}
 	fs.files = make(map[string]*File, len(s.files))
 	for n, fsn := range s.files {
+		// The image's block slices become the live ones: a later write
+		// replaces a block's slice rather than writing into it, so the
+		// image stays intact for the next restore. Every one of them
+		// was audited by the capture that took it.
 		fsn.file.dirty = make(map[int64][]byte)
-		for b, blk := range fsn.blocks {
-			if blk != nil {
-				fsn.file.dirty[int64(b)] = append([]byte(nil), blk...)
+		for c, chunk := range fsn.chunks {
+			for i, blk := range chunk {
+				if blk != nil {
+					fsn.file.dirty[int64(c*blockChunk+i)] = blk
+				}
 			}
 		}
 		// Restored blocks match the checkpoint image exactly, so their
 		// dirty stamps rewind to zero: the next incremental capture
-		// copies only post-restore writes. Stale stamps for blocks
+		// takes only post-restore writes. Stale stamps for blocks
 		// written after the checkpoint die here too.
 		fsn.file.dirtyGen = nil
 		fsn.file.dirtyOwner = nil
 		fsn.file.maxDirtyGen = 0
+		fsn.file.stamped = fsn.file.stamped[:0]
+		fsn.file.stampedSince = 0
 		fs.files[n] = fsn.file
 	}
 	// A whole-kernel restore rewinds every domain at once, so recorded
@@ -365,8 +440,8 @@ func (fs *FS) CrashRestoreDomain(owner string, snap any, sinceGen uint64) int64 
 		sort.Slice(blocks, func(i, j int) bool { return blocks[i] < blocks[j] })
 		for _, b := range blocks {
 			if fsn != nil {
-				if blk := fsn.blocks[b]; blk != nil {
-					f.dirty[b] = append([]byte(nil), blk...)
+				if blk := fsn.block(b); blk != nil {
+					f.dirty[b] = blk
 				} else {
 					delete(f.dirty, b)
 				}
@@ -389,25 +464,34 @@ func (fs *FS) CrashRestoreDomain(owner string, snap any, sinceGen uint64) int64 
 // restricted to invariants that hold at any instant (Fsck's quiescence
 // checks — no read-ahead or fetches in flight — are deliberately
 // excluded, since checkpoints fire on a cadence with I/O logically
-// outstanding).
+// outstanding). Its block checks cover only the blocks the latest
+// capture took from live state. Every other live block passed them
+// already: it was taken and audited by an earlier capture, installed by
+// a restore from such a capture's image, or validated by CrashImport,
+// and blocks are never written in place.
 func (fs *FS) CrashAudit() []string {
 	var bad []string
-	names := make([]string, 0, len(fs.files))
-	for n := range fs.files {
-		names = append(names, n)
+	for _, c := range fs.captured {
+		bad = auditBlock(bad, c.file, c.block, c.data)
 	}
-	sort.Strings(names)
-	for _, n := range names {
-		f := fs.files[n]
-		for b, d := range f.dirty {
-			if b < 0 || b >= f.Blocks() {
-				bad = append(bad, fmt.Sprintf("file %q: dirty block %d outside file", n, b))
-			}
-			if len(d) != BlockSize {
-				bad = append(bad, fmt.Sprintf("file %q: dirty block %d has %d bytes", n, b, len(d)))
-			}
-		}
+	return append(bad, fs.auditCache()...)
+}
+
+// auditBlock appends what is wrong with dirty block b of f.
+func auditBlock(bad []string, f *File, b int64, d []byte) []string {
+	if b < 0 || b >= f.Blocks() {
+		bad = append(bad, fmt.Sprintf("file %q: dirty block %d outside file", f.Name, b))
 	}
+	if len(d) != BlockSize {
+		bad = append(bad, fmt.Sprintf("file %q: dirty block %d has %d bytes", f.Name, b, len(d)))
+	}
+	return bad
+}
+
+// auditCache checks the buffer cache's index against its LRU list and
+// its capacity.
+func (fs *FS) auditCache() []string {
+	var bad []string
 	if fs.cache.lru.Len() != len(fs.cache.byLBA) {
 		bad = append(bad, fmt.Sprintf("cache: lru holds %d blocks, index %d", fs.cache.lru.Len(), len(fs.cache.byLBA)))
 	}
@@ -419,9 +503,10 @@ func (fs *FS) CrashAudit() []string {
 
 // Fsck audits the file system's structural invariants. It is meant to
 // run at quiescent points (after a Run round, or after crash recovery):
-// it checks the fd table, then everything CrashAudit checks, then the
-// cache index and that no read-ahead or fetch is in flight. The
-// returned slice is empty when the image is consistent.
+// it checks the fd table, then every dirty block and the cache bounds
+// (CrashAudit's checks, over all blocks rather than the captured ones),
+// then the cache index and that no read-ahead or fetch is in flight.
+// The returned slice is empty when the image is consistent.
 func (fs *FS) Fsck() []string {
 	var bad []string
 	fds := make([]int, 0, len(fs.fdTable))
@@ -454,7 +539,18 @@ func (fs *FS) Fsck() []string {
 			seen[b] = true
 		}
 	}
-	bad = append(bad, fs.CrashAudit()...)
+	names := make([]string, 0, len(fs.files))
+	for n := range fs.files {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	for _, n := range names {
+		f := fs.files[n]
+		for b, d := range f.dirty {
+			bad = auditBlock(bad, f, b, d)
+		}
+	}
+	bad = append(bad, fs.auditCache()...)
 	for e := fs.cache.lru.Front(); e != nil; e = e.Next() {
 		ent := e.Value.(*cacheEntry)
 		if got, ok := fs.cache.byLBA[ent.lba]; !ok || got != e {

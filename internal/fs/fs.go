@@ -50,6 +50,9 @@ type FS struct {
 	// on whole-kernel restore; entries older than the surviving
 	// checkpoint are filtered at query time.
 	ownerConflicts []ownerConflict
+	// captured lists the blocks the latest checkpoint capture took
+	// from live state: the blocks CrashAudit checks.
+	captured []capturedBlock
 }
 
 // ownerConflict is one cross-owner overwrite of a dirty block: owner
@@ -134,6 +137,12 @@ type File struct {
 	genCreated  uint64
 	dirtyGen    map[int64]uint64
 	maxDirtyGen uint64
+	// stamped lists every block stamped after stampedSince (a block
+	// may appear twice), so a capture reads only the blocks written
+	// since the previous capture instead of every stamped block. Each
+	// capture empties it and moves stampedSince to its own generation.
+	stamped      []int64
+	stampedSince uint64
 
 	// Rollback-domain owner stamps: the domain that created the file and
 	// the domain whose write last dirtied each block ("" is the shared
@@ -591,6 +600,11 @@ func (of *OpenFile) WriteAt(t *sched.Thread, data []byte, off int64) (int, error
 			}
 			if of.file.dirtyOwner == nil {
 				of.file.dirtyOwner = make(map[int64]string)
+			}
+			// A block joins the stamped list at its first stamp after
+			// stampedSince; a later stamp finds it listed already.
+			if since := of.file.stampedSince; g > since && of.file.dirtyGen[b] <= since {
+				of.file.stamped = append(of.file.stamped, b)
 			}
 			of.file.dirtyOwner[b] = owner
 			of.file.dirtyGen[b] = g

@@ -769,3 +769,62 @@ func itoa(v int64) string {
 	}
 	return string(d)
 }
+
+// TestRestoreReleasesOnlyVanishedGrafts: a restore releases the VM of a
+// graft installed after the checkpoint, and reinstates a graft removed
+// after it with its VM and heap intact.
+func TestRestoreReleasesOnlyVanishedGrafts(t *testing.T) {
+	e := newEnv()
+	pa := e.reg.RegisterPoint(newFnPoint("a"))
+	e.reg.RegisterPoint(newFnPoint("b"))
+	counter := e.buildSafe(t, `
+.name counter
+.func main
+main:
+    ld r1, [r10+0]
+    addi r1, r1, 1
+    st [r10+0], r1
+    mov r0, r1
+    ret
+`)
+	var removed, vanished *Installed
+	var snap any
+	e.run(t, 1, func(th *sched.Thread, _ *resource.Account) {
+		var err error
+		if removed, err = e.reg.Install(th, "a", counter, InstallOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			if _, err := pa.Invoke(th); err != nil {
+				t.Fatal(err)
+			}
+		}
+		snap = e.reg.CrashSnapshot(nil, 0)
+		if vanished, err = e.reg.Install(th, "b", e.buildSafe(t, doubleSrc), InstallOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		e.reg.Remove(removed)
+	})
+	if removed.VM().Heap() == nil {
+		t.Fatal("remove released the graft's VM")
+	}
+	e.reg.CrashRestore(snap)
+
+	if !vanished.Removed() {
+		t.Error("graft installed after the checkpoint survived the restore")
+	}
+	if vanished.VM().Heap() != nil || vanished.VM().KernelMemory() != nil {
+		t.Error("vanished graft's VM still hands out memory")
+	}
+	if _, err := vanished.VM().Call("main", 1); !errors.Is(err, sfi.ErrReleased) {
+		t.Errorf("vanished graft's VM: Call err = %v, want ErrReleased", err)
+	}
+	if removed.Removed() {
+		t.Fatal("graft removed after the checkpoint was not reinstated")
+	}
+	e.run(t, 1, func(th *sched.Thread, _ *resource.Account) {
+		if res, err := pa.Invoke(th); err != nil || res != 3 {
+			t.Errorf("reinstated counter = %d, %v; want 3 (its heap kept the count of 2)", res, err)
+		}
+	})
+}

@@ -793,6 +793,14 @@ func (r *Registry) CrashSnapshot(prev any, sinceGen uint64) any {
 // reinstated — if the supervisor expelled one in the lost epoch the
 // ledger still bars it at dispatch, so reinstatement cannot resurrect a
 // banned graft's code path.
+//
+// A vanished graft's VM memory is released here, because nothing can
+// use it again: the graft was installed after this checkpoint, so the
+// only images holding it are newer ring entries, which the restore
+// drops; and every thread that could have been running it, or holding
+// a slice of its heap, died in the scheduler shutdown that precedes a
+// whole-kernel restore. A removed graft keeps its VM: restoring an
+// image taken before the removal reinstates it.
 func (r *Registry) CrashRestore(snap any) {
 	s := snap.(*regSnap)
 	inSnap := make(map[*Installed]bool, len(s.installed))
@@ -803,6 +811,7 @@ func (r *Registry) CrashRestore(snap any) {
 		if !inSnap[g] {
 			g.removed = true
 			g.curThread = nil
+			g.vm.Release()
 		}
 	}
 	r.points = make(map[string]*Point, len(s.points))

@@ -19,6 +19,7 @@ import (
 	"vino/internal/redteam"
 	"vino/internal/resource"
 	"vino/internal/sched"
+	"vino/internal/trace"
 	"vino/internal/vmm"
 )
 
@@ -180,9 +181,6 @@ type ChaosReport struct {
 	FollowupOK bool
 	// Elapsed is the virtual time the whole run consumed.
 	Elapsed time.Duration
-	// TraceDump is the full flight-recorder dump (the determinism
-	// artifact: equal seeds produce equal dumps).
-	TraceDump string
 	// TraceTotal is the number of events ever emitted.
 	TraceTotal int64
 	// WatchdogFires echoes the graft registry's watchdog counter.
@@ -217,11 +215,26 @@ type ChaosReport struct {
 	// RedTeam is the escape-corpus result (nil unless the run was
 	// configured with RedTeam). Escapes also appear in Violations.
 	RedTeam *redteam.Result
+
+	// trace is the run's flight recorder, retained for TraceDump.
+	trace *trace.Buffer
 }
 
 // Survived reports whether every invariant held and the follow-up
 // workload passed.
 func (r *ChaosReport) Survived() bool { return len(r.Violations) == 0 && r.FollowupOK }
+
+// TraceDump renders the run's flight recorder: its retained events and
+// how many older ones were dropped (the determinism artifact: equal
+// seeds produce equal dumps). It formats on every call; a caller that
+// never asks never pays for it. A report not produced by a run has no
+// recorder and dumps as "".
+func (r *ChaosReport) TraceDump() string {
+	if r.trace == nil {
+		return ""
+	}
+	return r.trace.Dump()
+}
 
 // Summary renders a short human-readable result.
 func (r *ChaosReport) Summary() string {
@@ -491,7 +504,7 @@ func (c *chaosRun) finishReport() {
 	}
 	r.CrashedSites = c.k.Faults.CrashedBySite()
 	r.Elapsed = c.k.Clock.Now()
-	r.TraceDump = c.k.Trace.Dump()
+	r.trace = c.k.Trace
 	r.TraceTotal = c.k.Trace.Total()
 }
 

@@ -24,14 +24,14 @@ func TestChaosGuardDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run B: %v", err)
 	}
-	if a.TraceDump != b.TraceDump {
-		t.Fatalf("same seed produced different traces:\n--- A ---\n%s\n--- B ---\n%s", a.TraceDump, b.TraceDump)
+	if a.TraceDump() != b.TraceDump() {
+		t.Fatalf("same seed produced different traces:\n--- A ---\n%s\n--- B ---\n%s", a.TraceDump(), b.TraceDump())
 	}
 	if !a.Survived() {
 		t.Fatalf("kernel did not survive: %v (follow-up ok: %v)", a.Violations, a.FollowupOK)
 	}
 	for _, kind := range []trace.Kind{trace.GraftQuarantine, trace.GraftProbation, trace.GraftExpel} {
-		if !strings.Contains(a.TraceDump, string(kind)) {
+		if !strings.Contains(a.TraceDump(), string(kind)) {
 			t.Errorf("trace kind %q missing from supervised chaos dump", kind)
 		}
 	}
@@ -101,7 +101,7 @@ func TestChaosVaryInstallsDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.TraceDump != b.TraceDump {
+	if a.TraceDump() != b.TraceDump() {
 		t.Fatal("VaryInstalls broke same-seed replay")
 	}
 	if !a.Survived() {
@@ -111,7 +111,7 @@ func TestChaosVaryInstallsDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if classic.TraceDump == a.TraceDump {
+	if classic.TraceDump() == a.TraceDump() {
 		t.Fatal("VaryInstalls had no effect on the schedule")
 	}
 }

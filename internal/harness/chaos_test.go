@@ -24,8 +24,8 @@ func TestChaosDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run B: %v", err)
 	}
-	if a.TraceDump != b.TraceDump {
-		t.Fatalf("same seed produced different traces:\n--- A ---\n%s\n--- B ---\n%s", a.TraceDump, b.TraceDump)
+	if a.TraceDump() != b.TraceDump() {
+		t.Fatalf("same seed produced different traces:\n--- A ---\n%s\n--- B ---\n%s", a.TraceDump(), b.TraceDump())
 	}
 	if a.TraceTotal == 0 {
 		t.Fatal("no trace events recorded")
@@ -46,7 +46,7 @@ func TestChaosSeedsDiffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.TraceDump == b.TraceDump {
+	if a.TraceDump() == b.TraceDump() {
 		t.Fatal("seeds 1 and 2 produced identical traces")
 	}
 }
@@ -210,7 +210,7 @@ func TestChaosInjectedErrorsAreSentinel(t *testing.T) {
 	if !errors.Is(fault.ErrInjected, fault.ErrInjected) {
 		t.Fatal("sentinel identity broken")
 	}
-	if !strings.Contains(r.TraceDump, string(fault.Disk)+":") {
-		t.Fatalf("disk injections missing from trace:\n%s", r.TraceDump)
+	if !strings.Contains(r.TraceDump(), string(fault.Disk)+":") {
+		t.Fatalf("disk injections missing from trace:\n%s", r.TraceDump())
 	}
 }

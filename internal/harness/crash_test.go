@@ -126,7 +126,7 @@ func TestRecoverScopeCrashFreeByteIdentical(t *testing.T) {
 	}
 	a := run(kernel.RecoverScopeKernel)
 	b := run(kernel.RecoverScopeGraft)
-	if a.TraceDump != b.TraceDump {
+	if a.TraceDump() != b.TraceDump() {
 		t.Error("crash-free trace dumps differ between recovery scopes")
 	}
 	if a.Summary() != b.Summary() || a.CounterSummary() != b.CounterSummary() {
@@ -152,7 +152,7 @@ func TestCrashPhaseDeterministic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if a.TraceDump != b.TraceDump {
+			if a.TraceDump() != b.TraceDump() {
 				t.Error("same seed and config produced different trace dumps")
 			}
 			if a.Summary() != b.Summary() {

@@ -80,7 +80,7 @@ func TestGoldenChaosDump(t *testing.T) {
 				t.Fatalf("chaos run did not survive:\n%s", rep.Summary())
 			}
 			goldenCompare(t, fmt.Sprintf("chaos-seed%d.summary", seed), rep.Summary())
-			goldenCompare(t, fmt.Sprintf("chaos-seed%d.dump", seed), rep.TraceDump)
+			goldenCompare(t, fmt.Sprintf("chaos-seed%d.dump", seed), rep.TraceDump())
 		})
 	}
 }
@@ -105,7 +105,7 @@ func TestGoldenCrashDump(t *testing.T) {
 		t.Fatalf("crash run did not survive:\n%s", base.Summary())
 	}
 	goldenCompare(t, "crash-seed7.summary", base.Summary())
-	goldenCompare(t, "crash-seed7.dump", base.TraceDump)
+	goldenCompare(t, "crash-seed7.dump", base.TraceDump())
 
 	full, interp, ring, graftScope := cfg, cfg, cfg, cfg
 	full.CheckpointFullCopy = true
@@ -136,7 +136,7 @@ func TestGoldenCrashDump(t *testing.T) {
 			{"plan", rep.Plan.String(), want.Plan.String()},
 			{"summary", rep.Summary(), want.Summary()},
 			{"counters", rep.CounterSummary(), want.CounterSummary()},
-			{"trace dump", rep.TraceDump, want.TraceDump},
+			{"trace dump", rep.TraceDump(), want.TraceDump()},
 		} {
 			if a.got != a.want {
 				t.Errorf("%s %s diverged from the shared-image run", v.name, a.what)

@@ -23,7 +23,7 @@ func TestChaosSMPReplay(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ncpu=%d run B: %v", ncpu, err)
 		}
-		if a.TraceDump != b.TraceDump {
+		if a.TraceDump() != b.TraceDump() {
 			t.Fatalf("ncpu=%d: same seed produced different traces", ncpu)
 		}
 		if a.Summary() != b.Summary() {
@@ -51,7 +51,7 @@ func TestChaosSMPSchedulesDiffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if one.TraceDump == four.TraceDump {
+	if one.TraceDump() == four.TraceDump() {
 		t.Fatal("ncpu=1 and ncpu=4 produced identical traces")
 	}
 }
@@ -79,7 +79,7 @@ func TestChaosExtended(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if classic.TraceDump == extended.TraceDump {
+	if classic.TraceDump() == extended.TraceDump() {
 		t.Fatal("extended run produced the classic trace: widened surface is inert")
 	}
 }

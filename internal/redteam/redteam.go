@@ -14,6 +14,7 @@
 package redteam
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -567,14 +568,14 @@ func runCase(c Case, sub int64, translate bool) Verdict {
 		v.Detail = "vm: " + err.Error()
 		return v
 	}
+	// The VM is local and nothing below keeps a slice of its memory
+	// past the verdict, so its segment goes back to the free list.
+	defer vm.Release()
 
 	// Sentinel audit: paint kernel memory, seed the read-only region
 	// with a known pattern. Any change after the exploit is an escape.
 	sentinel := byte(sub) | 1
-	kmem := vm.KernelMemory()
-	for i := range kmem {
-		kmem[i] = sentinel
-	}
+	paint(vm.KernelMemory(), sentinel)
 	var roPat []byte
 	var roBase int64
 	if lay := vm.Layout(); lay != nil {
@@ -620,9 +621,13 @@ func runCase(c Case, sub int64, translate bool) Verdict {
 // auditSentinels re-checks the painted kernel memory and the seeded
 // read-only region; a non-empty return describes the damage.
 func auditSentinels(vm *sfi.VM, sentinel byte, roBase int64, roPat []byte) string {
-	for i, b := range vm.KernelMemory() {
-		if b != sentinel {
-			return fmt.Sprintf("kernel memory modified at +%d: %#x != sentinel %#x", i, b, sentinel)
+	if km := vm.KernelMemory(); bytes.Count(km, []byte{sentinel}) != len(km) {
+		// Damage is rare: only now walk byte by byte to name the first
+		// modified offset.
+		for i, b := range km {
+			if b != sentinel {
+				return fmt.Sprintf("kernel memory modified at +%d: %#x != sentinel %#x", i, b, sentinel)
+			}
 		}
 	}
 	if roPat != nil {
@@ -635,4 +640,16 @@ func auditSentinels(vm *sfi.VM, sentinel byte, roBase int64, roPat []byte) strin
 		}
 	}
 	return ""
+}
+
+// paint fills buf with b by doubling: each copy duplicates everything
+// painted so far, so the fill takes log2(len) bulk copies.
+func paint(buf []byte, b byte) {
+	if len(buf) == 0 {
+		return
+	}
+	buf[0] = b
+	for n := 1; n < len(buf); n *= 2 {
+		copy(buf[n:], buf[:n])
+	}
 }

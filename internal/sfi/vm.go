@@ -3,7 +3,9 @@ package sfi
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 )
 
 // KernelFunc is a kernel function exposed to grafts via CALLK. Arguments
@@ -53,6 +55,52 @@ func (c *CrashError) Error() string {
 
 // ErrCycleLimit reports that the VM's fuel budget was exhausted.
 var ErrCycleLimit = errors.New("sfi: cycle limit exhausted")
+
+// ErrReleased reports a call on a VM whose memory has been released.
+var ErrReleased = errors.New("sfi: VM released")
+
+// maxFreeMem bounds the free list of released VM memory. Survival paths
+// release a handful of VMs per recovery and build as many again soon
+// after, so a short list catches almost every reuse while holding at
+// most 8 buffers (512 KiB at the default sizes) idle.
+const maxFreeMem = 8
+
+// freeMem is the free list Release feeds and NewVM and KernelMemory
+// draw from. It is shared by every VM in the process, including VMs on
+// different worker goroutines, hence the mutex.
+var freeMem struct {
+	sync.Mutex
+	bufs [][]byte
+}
+
+// takeMem returns a zeroed n-byte buffer, recycled when the free list
+// holds one of that size.
+func takeMem(n int) []byte {
+	freeMem.Lock()
+	for i, b := range freeMem.bufs {
+		if len(b) == n {
+			freeMem.bufs = slices.Delete(freeMem.bufs, i, i+1)
+			freeMem.Unlock()
+			clear(b)
+			return b
+		}
+	}
+	freeMem.Unlock()
+	return make([]byte, n)
+}
+
+// putMem offers a released buffer to the free list; a full list leaves
+// it to the garbage collector.
+func putMem(b []byte) {
+	if b == nil {
+		return
+	}
+	freeMem.Lock()
+	if len(freeMem.bufs) < maxFreeMem {
+		freeMem.bufs = append(freeMem.bufs, b)
+	}
+	freeMem.Unlock()
+}
 
 // ABI register assignments: on entry the VM passes the graft its heap
 // base and segment size so position-independent code can find its data.
@@ -107,9 +155,11 @@ type VM struct {
 	// The arena is the address range [0, arenaLen): simulated kernel
 	// memory [0, segBase) below the graft segment [segBase, arenaLen).
 	// seg is allocated with the VM; kmem stays nil (all zeros) until
-	// first touched, see KernelMemory.
+	// first touched, see KernelMemory. Release hands both back to the
+	// free list and sets released; both stay nil from then on.
 	seg      []byte
 	kmem     []byte
+	released bool
 	arenaLen int64
 	segBase  uint64
 	segSize  uint64
@@ -153,7 +203,8 @@ type grantWindow struct {
 // NewVM prepares a VM for the image. The image's initial data is copied
 // to the bottom of the segment; kernel memory below the segment reads
 // as zeros and is allocated on first touch (the kernel may seed it via
-// KernelMemory for experiments).
+// KernelMemory for experiments). Both come zeroed from the free list
+// when a released VM left a buffer of the right size there.
 func NewVM(img *Image, cfg Config) (*VM, error) {
 	if img.Layout != nil {
 		// The layout's static-discharge proofs are against its exact
@@ -195,7 +246,6 @@ func NewVM(img *Image, cfg Config) (*VM, error) {
 	segBase := (uint64(cfg.KernelMem) + uint64(cfg.SegSize) - 1) &^ (uint64(cfg.SegSize) - 1)
 	vm := &VM{
 		img:      img,
-		seg:      make([]byte, cfg.SegSize),
 		arenaLen: int64(segBase) + int64(cfg.SegSize),
 		segBase:  segBase,
 		segSize:  uint64(cfg.SegSize),
@@ -209,7 +259,6 @@ func NewVM(img *Image, cfg Config) (*VM, error) {
 	if cfg.Costs != nil {
 		vm.costs = *cfg.Costs
 	}
-	copy(vm.seg, img.Data)
 	vm.kernel = make([]KernelFunc, len(img.Symbols))
 	for i, sym := range img.Symbols {
 		fn, ok := cfg.Kernel[sym]
@@ -234,7 +283,26 @@ func NewVM(img *Image, cfg Config) (*VM, error) {
 		}
 		vm.prog = p
 	}
+	vm.seg = takeMem(cfg.SegSize)
+	copy(vm.seg, img.Data)
 	return vm, nil
+}
+
+// Release hands the VM's segment and kernel memory back to the free
+// list for the next NewVM. The caller must be the VM's last user: no
+// call may be running, and no slice from Heap or KernelMemory may be
+// used again, since the next owner's data lands in the same bytes. A
+// released VM fails closed: Call returns ErrReleased, Heap and
+// KernelMemory return nil and SeedRegion refuses. Releasing twice is a
+// no-op.
+func (vm *VM) Release() {
+	if vm.released {
+		return
+	}
+	vm.released = true
+	putMem(vm.seg)
+	putMem(vm.kmem)
+	vm.seg, vm.kmem = nil, nil
 }
 
 // Image returns the image the VM executes.
@@ -247,17 +315,18 @@ func (vm *VM) HeapBase() uint64 { return vm.segBase }
 func (vm *VM) HeapSize() uint64 { return vm.segSize }
 
 // Heap exposes the graft's segment for the kernel to seed inputs and
-// read results (the simulated shared buffer of §4.1.2).
+// read results (the simulated shared buffer of §4.1.2). It is nil once
+// the VM is released.
 func (vm *VM) Heap() []byte { return vm.seg }
 
 // KernelMemory exposes the simulated kernel memory below the segment.
 // Experiments seed it with sentinel bytes to detect stray writes from
 // unprotected grafts. The first call allocates it (zeroed); a VM whose
 // graft never writes below its segment and whose kernel never asks
-// never allocates it at all.
+// never allocates it at all. It is nil once the VM is released.
 func (vm *VM) KernelMemory() []byte {
-	if vm.kmem == nil {
-		vm.kmem = make([]byte, vm.segBase)
+	if vm.kmem == nil && !vm.released {
+		vm.kmem = takeMem(int(vm.segBase))
 	}
 	return vm.kmem
 }
@@ -314,6 +383,9 @@ func (vm *VM) flush() {
 // and abortable; asynchronous aborts propagate as panics from the hook
 // through Call to the transaction wrapper.
 func (vm *VM) Call(entry string, args ...int64) (int64, error) {
+	if vm.released {
+		return 0, ErrReleased
+	}
 	pc, err := vm.img.Entry(entry)
 	if err != nil {
 		return 0, err
@@ -726,6 +798,9 @@ func (vm *VM) ActiveGrants() int { return len(vm.grants) }
 // kernel exports read-only data or stages a shared buffer; kernel-side
 // writes are trusted and bypass the graft-facing permission checks.
 func (vm *VM) SeedRegion(kind RegionKind, data []byte) (int64, error) {
+	if vm.released {
+		return 0, ErrReleased
+	}
 	if vm.layout == nil {
 		return 0, errors.New("sfi: no compartment layout to seed")
 	}

@@ -1,8 +1,10 @@
 package sfi
 
 import (
+	"bytes"
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -580,4 +582,173 @@ func TestVMDataTooBigRejected(t *testing.T) {
 	if _, err := NewVM(img, Config{SegSize: 4096}); err == nil {
 		t.Fatal("oversized data accepted")
 	}
+}
+
+// drainFreeMem empties the free list of released VM memory, so a test
+// knows exactly which buffers the next NewVM can recycle.
+func drainFreeMem() {
+	freeMem.Lock()
+	freeMem.bufs = nil
+	freeMem.Unlock()
+}
+
+// TestReleasedVMFailsClosed: once released, a VM runs nothing and hands
+// out no memory, even after another VM has taken its buffers.
+func TestReleasedVMFailsClosed(t *testing.T) {
+	img := mustAssemble(t, `
+.name rogue
+.func main
+main:
+    movi r1, 128
+    st [r1+0], r1
+    st [r10+0], r1
+    movi r0, 7
+    ret
+`)
+	vm, err := NewVM(img, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := vm.Call("main"); err != nil || res != 7 {
+		t.Fatalf("Call before release = %d, %v", res, err)
+	}
+	vm.Release()
+	vm.Release() // a second release is a no-op
+	next, err := NewVM(img, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := next.Call("main"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := vm.Call("main"); !errors.Is(err, ErrReleased) {
+		t.Errorf("Call after release: err = %v, want ErrReleased", err)
+	}
+	if vm.Heap() != nil {
+		t.Error("Heap() after release is not nil")
+	}
+	if vm.KernelMemory() != nil {
+		t.Error("KernelMemory() after release is not nil")
+	}
+	if _, err := vm.SeedRegion(RegionRO, []byte{1}); !errors.Is(err, ErrReleased) {
+		t.Errorf("SeedRegion after release: err = %v, want ErrReleased", err)
+	}
+}
+
+// recycleScanSrc sums the first 512 bytes of kernel memory and 512
+// bytes of its segment (as 8-byte words) and stores the sum at the
+// bottom of its heap: any byte a previous owner left behind shows.
+const recycleScanSrc = `
+.name scan
+.func main
+main:
+    movi r0, 0
+    movi r1, 0
+    movi r3, 512
+kloop:
+    ld r2, [r1+0]
+    add r0, r0, r2
+    addi r1, r1, 8
+    cmplt r4, r1, r3
+    jnz r4, kloop
+    addi r1, r10, 4096
+    addi r3, r1, 512
+hloop:
+    ld r2, [r1+0]
+    add r0, r0, r2
+    addi r1, r1, 8
+    cmplt r4, r1, r3
+    jnz r4, hloop
+    st [r10+0], r0
+    ret
+`
+
+// TestRecycledSegmentIsClean: a VM built on memory a released VM
+// scribbled all over runs bit-identically to one built on fresh memory,
+// on both engines.
+func TestRecycledSegmentIsClean(t *testing.T) {
+	img := mustAssemble(t, recycleScanSrc)
+	// prep allocates kernel memory before the call, so the graft reads
+	// the (possibly recycled) buffer rather than untouched zeros.
+	prep := func(vm *VM) error { vm.KernelMemory(); return nil }
+	drainFreeMem()
+	fresh := runEngine(img, Config{}, prep, "main", nil, false)
+	if fresh.callErr != nil || fresh.result != 0 {
+		t.Fatalf("fresh run = %d, %v; want 0", fresh.result, fresh.callErr)
+	}
+	// scribble releases two VMs whose segment and kernel memory are
+	// painted with a pattern, leaving four dirty buffers on the free
+	// list: enough for both engines' segment and kernel memory.
+	scribble := func() map[*byte]bool {
+		drainFreeMem()
+		dirty := map[*byte]bool{}
+		var vms []*VM
+		for i := 0; i < 2; i++ {
+			vm, err := NewVM(img, Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, buf := range [][]byte{vm.Heap(), vm.KernelMemory()} {
+				for j := range buf {
+					buf[j] = byte(0xA5 ^ j)
+				}
+				dirty[&buf[0]] = true
+			}
+			vms = append(vms, vm)
+		}
+		for _, vm := range vms {
+			vm.Release()
+		}
+		return dirty
+	}
+	for _, translate := range []bool{false, true} {
+		dirty := scribble()
+		got := runEngine(img, Config{}, prep, "main", nil, translate)
+		if !dirty[&got.heap[0]] || !dirty[&got.kmem[0]] {
+			t.Fatalf("translate=%v: the VM did not draw its memory from the free list", translate)
+		}
+		switch {
+		case got.callErr != nil || got.result != fresh.result:
+			t.Errorf("translate=%v: recycled run = %d, %v; fresh = %d", translate, got.result, got.callErr, fresh.result)
+		case got.regs != fresh.regs || got.steps != fresh.steps || got.cycles != fresh.cycles:
+			t.Errorf("translate=%v: recycled run's registers or accounting differ from a fresh run", translate)
+		case !bytes.Equal(got.heap, fresh.heap) || !bytes.Equal(got.kmem, fresh.kmem):
+			t.Errorf("translate=%v: recycled memory differs from fresh memory", translate)
+		}
+	}
+	if len(scribble()) != 4 {
+		t.Fatal("scribbling did not leave four distinct buffers")
+	}
+	if err := ExecDiff(img, Config{}, prep, "main"); err != nil {
+		t.Errorf("engines diverge on recycled memory: %v", err)
+	}
+}
+
+// TestFreeListConcurrent: worker pools build and release VMs on several
+// goroutines at once; every VM must still start on zeroed memory. Run
+// it under -race.
+func TestFreeListConcurrent(t *testing.T) {
+	img := mustAssemble(t, recycleScanSrc)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				vm, err := NewVM(img, Config{})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				heap, kmem := vm.Heap(), vm.KernelMemory()
+				if bytes.Count(heap, []byte{0}) != len(heap) || bytes.Count(kmem, []byte{0}) != len(kmem) {
+					t.Errorf("worker %d: VM %d started on dirty memory", w, i)
+					return
+				}
+				heap[i], kmem[i] = byte(w+1), byte(w+1)
+				vm.Release()
+			}
+		}(w)
+	}
+	wg.Wait()
 }

@@ -77,12 +77,16 @@ func (e Event) String() string {
 		float64(e.At)/float64(time.Millisecond), e.Kind, e.Subject, e.Detail)
 }
 
-// Buffer is a fixed-capacity event ring. Not safe for concurrent use;
-// the simulated kernel is single-threaded by construction.
+// Buffer is a fixed-capacity event ring. The ring grows by append as
+// events arrive and wraps once it holds capacity events, so a run that
+// emits few events never pays for the whole ring. Not safe for
+// concurrent use; the simulated kernel is single-threaded by
+// construction.
 type Buffer struct {
-	ring  []Event
-	next  int
-	total int64
+	ring     []Event
+	capacity int
+	next     int
+	total    int64
 	// Enabled gates recording; disabled buffers drop events at ~zero
 	// cost so tracing can stay wired in benchmarks.
 	Enabled bool
@@ -93,7 +97,7 @@ func New(capacity int) *Buffer {
 	if capacity <= 0 {
 		capacity = 256
 	}
-	return &Buffer{ring: make([]Event, 0, capacity), Enabled: true}
+	return &Buffer{capacity: capacity, Enabled: true}
 }
 
 // Emit records an event.
@@ -103,12 +107,12 @@ func (b *Buffer) Emit(at time.Duration, kind Kind, subject, detail string) {
 	}
 	b.total++
 	e := Event{At: at, Kind: kind, Subject: subject, Detail: detail}
-	if len(b.ring) < cap(b.ring) {
+	if len(b.ring) < b.capacity {
 		b.ring = append(b.ring, e)
 		return
 	}
 	b.ring[b.next] = e
-	b.next = (b.next + 1) % cap(b.ring)
+	b.next = (b.next + 1) % b.capacity
 }
 
 // Total reports how many events were ever emitted (including dropped).
@@ -116,10 +120,10 @@ func (b *Buffer) Total() int64 { return b.total }
 
 // Events returns the retained events in chronological order.
 func (b *Buffer) Events() []Event {
-	if len(b.ring) < cap(b.ring) {
+	if len(b.ring) < b.capacity {
 		return append([]Event(nil), b.ring...)
 	}
-	out := make([]Event, 0, cap(b.ring))
+	out := make([]Event, 0, b.capacity)
 	out = append(out, b.ring[b.next:]...)
 	out = append(out, b.ring[:b.next]...)
 	return out
